@@ -20,12 +20,13 @@ The model enforces real NOR rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, Iterator, List, Tuple
 
 __all__ = ["FlashTiming", "FlashStats", "FlashMemory", "FlashError",
            "PowerLossError"]
 
 ERASED = 0xFF
+_ERASED_BYTE = b"\xFF"
 
 
 class FlashError(Exception):
@@ -78,7 +79,16 @@ class FlashStats:
 
 
 class FlashMemory:
-    """One flash device: a byte array with page-erase discipline."""
+    """One flash device: programmed pages over an implicitly erased array.
+
+    Storage is paged: ``_pages`` maps a page index to the ``bytearray``
+    of a page that holds programmed bytes, and a page with no entry
+    reads back erased (``0xFF``).  A provisioned device is mostly erased
+    flash, so this keeps live memory (and a pickle shipped to a
+    process-pool worker) proportional to what was programmed, and
+    :meth:`erase_page` is a dict removal.  Every operation works on
+    whole slices; none loops over bytes in Python.
+    """
 
     def __init__(
         self,
@@ -97,7 +107,7 @@ class FlashMemory:
         self.name = name
         self.timing = timing if timing is not None else FlashTiming()
         self.strict = strict
-        self._data = bytearray(b"\xFF" * size)
+        self._pages: Dict[int, bytearray] = {}
         self.stats = FlashStats(erase_counts=[0] * (size // page_size))
         self._fault_countdown: "int | None" = None
         self._fault_during = "any"
@@ -105,40 +115,6 @@ class FlashMemory:
     @property
     def page_count(self) -> int:
         return self.size // self.page_size
-
-    # -- pickling ----------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle the byte array *sparsely*: non-erased pages only.
-
-        A provisioned device is mostly erased flash (0xFF), so shipping
-        the raw array to a process-pool worker moves megabytes of
-        padding per device.  Storing only the pages that differ from
-        the erased state cuts a typical record's pickle by ~5-10x for
-        ~0.3 ms of memcmp — the difference between the process executor
-        winning and losing on IPC-heavy campaigns.
-        """
-        state = self.__dict__.copy()
-        page = self.page_size
-        erased_page = b"\xFF" * page
-        pages = {}
-        data = self._data
-        for offset in range(0, self.size, page):
-            chunk = bytes(data[offset:offset + page])
-            if chunk != erased_page:
-                pages[offset] = chunk
-        state["_data"] = pages
-        state["_sparse_pages"] = True
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        if state.pop("_sparse_pages", False):
-            pages = state["_data"]
-            data = bytearray(b"\xFF" * state["size"])
-            for offset, chunk in pages.items():
-                data[offset:offset + len(chunk)] = chunk
-            state["_data"] = data
-        self.__dict__.update(state)
 
     def page_of(self, offset: int) -> int:
         self._check_range(offset, 1)
@@ -150,7 +126,12 @@ class FlashMemory:
         self._check_range(offset, length)
         self.stats.bytes_read += length
         self.stats.busy_seconds += length / self.timing.read_bytes_per_second
-        return bytes(self._data[offset:offset + length])
+        return self._load(offset, length)
+
+    def peek(self, offset: int, length: int) -> bytes:
+        """Raw contents of one range (test/fault aid; no cost accounting)."""
+        self._check_range(offset, length)
+        return self._load(offset, length)
 
     # -- fault injection ----------------------------------------------------
 
@@ -199,29 +180,35 @@ class FlashMemory:
     def write(self, offset: int, data: bytes) -> None:
         """Write ``data``; bits may only transition 1 → 0."""
         data = bytes(data)
-        self._check_range(offset, len(data))
+        length = len(data)
+        self._check_range(offset, length)
         if self._tick_fault("write"):
-            half = data[: len(data) // 2]
+            half = data[: length // 2]
             if half:
                 self.write(offset, half)
             raise PowerLossError(
                 "%s: power lost writing at 0x%X" % (self.name, offset))
         if self.strict:
-            for i, new_byte in enumerate(data):
-                current = self._data[offset + i]
-                if new_byte & ~current & 0xFF:
+            current = self._load(offset, length)
+            if current.count(ERASED) != length:
+                # One big-integer op checks the whole range.  Little-
+                # endian, so byte i is bits 8i..8i+7 and the lowest set
+                # conflict bit names the first byte that would set a bit
+                # 0 → 1.  Without a conflict, ``data`` only clears bits
+                # (it equals ``current & data``) and lands as it is.
+                conflict = (int.from_bytes(data, "little")
+                            & ~int.from_bytes(current, "little"))
+                if conflict:
+                    first = ((conflict & -conflict).bit_length() - 1) // 8
                     raise FlashError(
                         "%s: write at 0x%X would set bits 0→1 "
-                        "(erase the page first)" % (self.name, offset + i)
+                        "(erase the page first)" % (self.name, offset + first)
                     )
-            for i, new_byte in enumerate(data):
-                self._data[offset + i] &= new_byte
-        else:
-            self._data[offset:offset + len(data)] = data
-        self.stats.bytes_written += len(data)
+        self._store(offset, data)
+        self.stats.bytes_written += length
         self.stats.write_calls += 1
         self.stats.busy_seconds += (
-            len(data) / self.timing.write_bytes_per_second
+            length / self.timing.write_bytes_per_second
             + self.timing.write_call_overhead_seconds
         )
 
@@ -233,16 +220,15 @@ class FlashMemory:
             # half reads back 0xFF, the head keeps its stale (now
             # untrustworthy) bytes.  Wear still happened, and roughly
             # half the erase time was spent before the supply collapsed.
-            start = page * self.page_size
-            half = self.page_size // 2
-            self._data[start + half:start + self.page_size] = \
-                b"\xFF" * (self.page_size - half)
+            programmed = self._pages.get(page)
+            if programmed is not None:
+                half = self.page_size // 2
+                programmed[half:] = b"\xFF" * (self.page_size - half)
             self.stats.erase_counts[page] += 1
             self.stats.busy_seconds += self.timing.erase_page_seconds / 2
             raise PowerLossError(
                 "%s: power lost erasing page %d" % (self.name, page))
-        start = page * self.page_size
-        self._data[start:start + self.page_size] = b"\xFF" * self.page_size
+        self._pages.pop(page, None)
         self.stats.pages_erased += 1
         self.stats.erase_counts[page] += 1
         self.stats.busy_seconds += self.timing.erase_page_seconds
@@ -259,16 +245,22 @@ class FlashMemory:
 
     def is_erased(self, offset: int, length: int) -> bool:
         self._check_range(offset, length)
-        return all(b == ERASED for b in self._data[offset:offset + length])
+        pages = self._pages
+        for index, start, stop, _ in self._spans(offset, length):
+            programmed = pages.get(index)
+            if programmed is not None \
+                    and programmed.count(ERASED, start, stop) != stop - start:
+                return False
+        return True
 
     def snapshot(self) -> bytes:
         """Raw contents (test/debug aid; bypasses cost accounting)."""
-        return bytes(self._data)
+        return self._load(0, self.size)
 
     def corrupt(self, offset: int, data: bytes) -> None:
         """Overwrite raw bytes bypassing NOR rules — fault injection only."""
         self._check_range(offset, len(data))
-        self._data[offset:offset + len(data)] = data
+        self._store(offset, bytes(data))
 
     def reset_stats(self) -> None:
         self.stats = FlashStats(erase_counts=[0] * self.page_count)
@@ -281,3 +273,46 @@ class FlashMemory:
                 "%s: access [0x%X, +%d) outside device of %d bytes"
                 % (self.name, offset, length, self.size)
             )
+
+    def _spans(self, offset: int, length: int
+               ) -> Iterator[Tuple[int, int, int, int]]:
+        """``(page, start, stop, position)`` for each page of a range.
+
+        ``start:stop`` is the slice inside the page and ``position`` the
+        matching offset into the range.
+        """
+        page_size = self.page_size
+        position = 0
+        while position < length:
+            index, start = divmod(offset + position, page_size)
+            stop = min(page_size, start + length - position)
+            yield index, start, stop, position
+            position += stop - start
+
+    def _load(self, offset: int, length: int) -> bytes:
+        index, start = divmod(offset, self.page_size)
+        if start + length <= self.page_size:
+            # Most reads fall inside one page: skip the span walk.
+            programmed = self._pages.get(index)
+            return (bytes(programmed[start:start + length])
+                    if programmed is not None else _ERASED_BYTE * length)
+        pages = self._pages
+        parts = []
+        for index, start, stop, _ in self._spans(offset, length):
+            programmed = pages.get(index)
+            parts.append(programmed[start:stop] if programmed is not None
+                         else _ERASED_BYTE * (stop - start))
+        return b"".join(parts)
+
+    def _store(self, offset: int, data: bytes) -> None:
+        """Place raw bytes, creating a page only for non-erased content."""
+        pages = self._pages
+        for index, start, stop, position in self._spans(offset, len(data)):
+            chunk = data[position:position + stop - start]
+            programmed = pages.get(index)
+            if programmed is None:
+                if chunk.count(ERASED) == len(chunk):
+                    continue
+                programmed = pages[index] = bytearray(
+                    _ERASED_BYTE * self.page_size)
+            programmed[start:stop] = chunk

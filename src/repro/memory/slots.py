@@ -274,6 +274,14 @@ class MemoryLayout:
                 return slot
         raise SlotError("no slot named %r" % name)
 
+    def flash_devices(self) -> List[FlashMemory]:
+        """The distinct flash devices under the slots, in slot order."""
+        devices: List[FlashMemory] = []
+        for slot in self.slots:
+            if all(slot.flash is not known for known in devices):
+                devices.append(slot.flash)
+        return devices
+
     @property
     def bootable_slots(self) -> List[Slot]:
         return [s for s in self.slots if s.bootable]

@@ -28,6 +28,7 @@ experiments it narrates.
 
 from __future__ import annotations
 
+import binascii
 import math
 import struct
 from typing import Any, Callable, Dict, List, Optional
@@ -40,6 +41,7 @@ __all__ = ["BlackBoxRecord", "BlackBox", "PHASE_CODES", "PHASE_OF_EVENT",
 RECORD_SIZE = 32
 _RECORD = struct.Struct(">IdB17sH")
 _LABEL_BYTES = 17
+_ERASED_RECORD = b"\xFF" * RECORD_SIZE
 
 #: Lifecycle phases and their on-flash codes.
 PHASE_CODES = {
@@ -81,13 +83,7 @@ _EXPECTED_BEFORE_BOOT = ("ready_to_reboot", "boot_selected",
 
 def _crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF)."""
-    crc = 0xFFFF
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021 if crc & 0x8000 else crc << 1) \
-                & 0xFFFF
-    return crc
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 class BlackBoxRecord:
@@ -145,7 +141,7 @@ class BlackBox:
     # -- mounting ------------------------------------------------------------
 
     def _decode(self, raw: bytes) -> Optional[BlackBoxRecord]:
-        if len(raw) != RECORD_SIZE or all(b == 0xFF for b in raw):
+        if len(raw) != RECORD_SIZE or raw == _ERASED_RECORD:
             return None
         try:
             seq, t, phase_code, label_bytes, crc = _RECORD.unpack(raw)

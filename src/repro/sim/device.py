@@ -29,7 +29,7 @@ from ..core import (
     UpdateAgent,
 )
 from ..crypto import CryptoBackend, get_backend
-from ..memory import FlashMemory, MemoryLayout
+from ..memory import MemoryLayout
 from ..obs import PHASE_OF_EVENT, BlackBox, MetricsRegistry, Tracer, \
     bind_device
 from ..platform import BoardProfile, OSProfile
@@ -78,6 +78,9 @@ class SimulatedDevice:
         self.board = board
         self.os_profile = os_profile
         self.layout = layout
+        #: Distinct flash parts under the layout; every wire frame
+        #: drains their cost counters, so they are found once here.
+        self.flash_devices = tuple(layout.flash_devices())
         self.profile = profile
         self.backend = backend or get_backend(crypto_library)
         buffer_size = (pipeline_buffer_size
@@ -219,16 +222,9 @@ class SimulatedDevice:
 
     # -- cost draining -----------------------------------------------------------
 
-    def _flash_devices(self) -> "list[FlashMemory]":
-        devices = []
-        for slot in self.layout.slots:
-            if all(slot.flash is not d for d in devices):
-                devices.append(slot.flash)
-        return devices
-
     def _drain_flash(self, phase: str) -> None:
         hidden = phase == "propagation" and self.flash_overlaps_radio
-        for flash in self._flash_devices():
+        for flash in self.flash_devices:
             busy = flash.stats.busy_seconds
             if busy > 0:
                 if not hidden:

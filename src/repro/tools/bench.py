@@ -416,7 +416,7 @@ def bench_fleet_scale(device_count: int = 10_000,
     columnar rows (hydrating only cohort representatives), recording
     devices/s, peak RSS (``resource.getrusage``), columnar bytes/row
     and — for the memory-per-device trajectory the ROADMAP tracks —
-    the sparse-flash pickle cost of one fully hydrated record.  A
+    the pickle cost of one fully hydrated (paged-flash) record.  A
     ``sample_devices``-sized hydrated-vs-columnar parity cross-check
     runs first and the artifact records its verdict.
     """

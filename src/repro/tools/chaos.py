@@ -203,7 +203,7 @@ def calibrate(lab: ChaosLab) -> Calibration:
     """Run one fault-free update and measure every fault axis."""
     bed = lab.build()
     device = bed.device
-    flashes = FaultInjector._flash_devices(bed)
+    flashes = device.flash_devices
 
     fed = {"bytes": 0}
     original_feed = device.feed

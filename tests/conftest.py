@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
 
@@ -17,6 +18,12 @@ from repro.core import (
 from repro.crypto import get_backend
 from repro.memory import FlashMemory, MemoryLayout
 from repro.workload import FirmwareGenerator
+
+#: Peak RSS one test may add to the test process, fixture setup
+#: included.  Tier-1 has to finish on a 2-core / 8 GiB host, so a test
+#: that needs more is a defect (a fleet-sized hydrated twin, say), not a
+#: workload.  Memory of process-pool workers is not counted.
+RSS_BUDGET_MIB = 2048
 
 APP_ID = 0x55504B49
 DEVICE_ID = 0x11223344
@@ -105,3 +112,48 @@ def provisioned(published, ab_layout):
 @pytest.fixture()
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+# -- memory guard ---------------------------------------------------------------
+
+_RSS_START_KIB = pytest.StashKey[Optional[int]]()
+
+
+def _status_kib(field: str) -> int:
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith(field):
+                return int(line.split()[1])
+    raise KeyError(field)
+
+
+def _reset_peak_rss() -> Optional[int]:
+    """Reset the kernel's peak-RSS mark; returns current RSS in KiB.
+
+    None where ``/proc/self/clear_refs`` is unavailable (not Linux):
+    the guard then has no per-test peak to read and stays off.
+    """
+    try:
+        with open("/proc/self/clear_refs", "w") as fh:
+            fh.write("5")
+        return _status_kib("VmRSS:")
+    except (OSError, KeyError):
+        return None
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_setup(item):
+    item.stash[_RSS_START_KIB] = _reset_peak_rss()
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    result = yield
+    start = item.stash.get(_RSS_START_KIB, None)
+    if start is not None:
+        grown_mib = (_status_kib("VmHWM:") - start) / 1024
+        if grown_mib > RSS_BUDGET_MIB:
+            pytest.fail("peak RSS grew by %.0f MiB during this test, over "
+                        "the %d MiB per-test budget"
+                        % (grown_mib, RSS_BUDGET_MIB))
+    return result

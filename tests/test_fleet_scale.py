@@ -97,14 +97,16 @@ def test_million_device_campaign_acceptance():
 
 
 def _correlated_parity_fixture(device_count, image_size, plan,
-                               transfer_bytes):
+                               transfer_bytes, hydrated=True):
     """Both campaign flavours over the same seeded, domain-wired fleet.
 
     The hydrated reference gives every device its own link carrying its
     domain's correlated schedule; the columnar path carries the domain
     in each :class:`DeviceSpec` (part of the cohort key) and lets
     :class:`ScaleCampaign` wire the identical link onto each cohort
-    representative at hydration.
+    representative at hydration.  ``hydrated=False`` skips building the
+    reference (returned as ``None``): a fleet-sized twin is what the
+    columnar path exists to avoid.
     """
     from repro.core import (DeviceProfile, UpdateServer, VendorServer,
                             make_test_identities, provision_device)
@@ -161,15 +163,18 @@ def _correlated_parity_fixture(device_count, image_size, plan,
                         transport_retry=SWEEP_TRANSPORT_RETRY)
 
     # Hydrated reference --------------------------------------------------
-    hydrated_server = fresh_server()
-    hydrated_fleet = [
-        DeviceRecord(name="corr-%05d" % index,
-                     device=make_device(hydrated_server, 0x4000 + index),
-                     transport=transport(index), link=link_for(index))
-        for index in range(device_count)]
-    hydrated_server.publish(release_v2)
-    hydrated = Campaign(hydrated_server, hydrated_fleet, policy,
-                        executor=SerialWaveExecutor(), retry=retry)
+    if hydrated:
+        hydrated_server = fresh_server()
+        hydrated_fleet = [
+            DeviceRecord(name="corr-%05d" % index,
+                         device=make_device(hydrated_server, 0x4000 + index),
+                         transport=transport(index), link=link_for(index))
+            for index in range(device_count)]
+        hydrated_server.publish(release_v2)
+        hydrated = Campaign(hydrated_server, hydrated_fleet, policy,
+                            executor=SerialWaveExecutor(), retry=retry)
+    else:
+        hydrated = None
 
     # Columnar path -------------------------------------------------------
     scale_server = fresh_server()
@@ -244,7 +249,7 @@ def test_ten_thousand_devices_under_domain_outage():
     image_size = 8 * 1024
     plan = _whole_campaign_plan(seed=4)
     _, scale = _correlated_parity_fixture(10_000, image_size, plan,
-                                          image_size)
+                                          image_size, hydrated=False)
     report = scale.run()
     summary = report.summary()
     assert summary["updated"] == 10_000

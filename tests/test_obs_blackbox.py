@@ -4,13 +4,19 @@ import pytest
 
 from repro.faults import FaultKind, FaultPoint
 from repro.memory import FlashMemory
-from repro.obs.blackbox import RECORD_SIZE, BlackBox
+from repro.obs.blackbox import RECORD_SIZE, BlackBox, _crc16
 from repro.tools import chaos
 
 
 def small_flash(pages=2, page_size=4 * RECORD_SIZE):
     return FlashMemory(pages * page_size, page_size=page_size,
                        name="bb-test")
+
+
+def test_crc16_known_answer():
+    """CRC-16/CCITT-FALSE check value from the CRC catalogue."""
+    assert _crc16(b"123456789") == 0x29B1
+    assert _crc16(b"") == 0xFFFF
 
 
 def test_record_roundtrip():
