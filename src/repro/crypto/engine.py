@@ -88,18 +88,6 @@ class EngineStats:
             "key_tables_evicted": self.key_tables_evicted,
         }
 
-    def diff(self, baseline: "EngineStats") -> "EngineStats":
-        """Field-wise ``self - baseline`` (a worker's contribution)."""
-        return EngineStats(
-            verify_calls=self.verify_calls - baseline.verify_calls,
-            verify_cache_hits=(self.verify_cache_hits
-                               - baseline.verify_cache_hits),
-            key_tables_built=(self.key_tables_built
-                              - baseline.key_tables_built),
-            key_tables_evicted=(self.key_tables_evicted
-                                - baseline.key_tables_evicted),
-        )
-
 
 @dataclass
 class ContentCacheStats:
@@ -139,8 +127,8 @@ class ContentVerifyCache:
     first device in a wave pays the scalar math, the other 999,999 hit
     this cache.
 
-    Lock-protected like the engine's own caches — the thread-pool wave
-    executor calls in concurrently.  Only ``True`` verdicts are
+    Lock-protected like the engine's own caches — the serve plane's
+    signer-pool threads call in concurrently.  Only ``True`` verdicts are
     cached: a failed verification is never served from memory, so a
     tampered signature cannot hide behind an earlier honest one.
     """
@@ -513,20 +501,6 @@ class FastEngine(CryptoEngine):
         """
         with self._lock:
             return EngineStats(**self.stats.to_dict())
-
-    def merge_stats(self, delta: EngineStats) -> None:
-        """Fold a process-pool worker's counter deltas into this engine.
-
-        Worker processes run on forked engine copies; their hit/miss
-        counts would otherwise vanish with the worker.  Taken under the
-        same lock that guards the hot-path increments, so totals stay
-        exact under concurrent merges.
-        """
-        with self._lock:
-            self.stats.verify_calls += delta.verify_calls
-            self.stats.verify_cache_hits += delta.verify_cache_hits
-            self.stats.key_tables_built += delta.key_tables_built
-            self.stats.key_tables_evicted += delta.key_tables_evicted
 
     def clear_caches(self) -> None:
         """Drop every cache and table (cold-start benchmarking)."""

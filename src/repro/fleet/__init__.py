@@ -31,15 +31,7 @@ from .columnar import (
     DeviceSpec,
     ROW_DTYPE,
 )
-from .executor import (
-    Calibration,
-    ParallelWaveExecutor,
-    ProcessWaveExecutor,
-    SerialWaveExecutor,
-    WaveExecutor,
-    calibrate,
-    select_executor,
-)
+from .executor import SerialWaveExecutor
 from .scale import (
     ScaleCampaign,
     ScaleReport,
@@ -53,7 +45,6 @@ __all__ = [
     "BreakerPolicy",
     "BreakerState",
     "CAUTION_TRANSPORT_RETRY",
-    "Calibration",
     "Campaign",
     "CampaignJournal",
     "CampaignReport",
@@ -67,8 +58,6 @@ __all__ = [
     "Event",
     "EventScheduler",
     "JOURNAL_KINDS",
-    "ParallelWaveExecutor",
-    "ProcessWaveExecutor",
     "ROW_DTYPE",
     "RetryBudget",
     "RetryGovernor",
@@ -77,11 +66,8 @@ __all__ = [
     "ScaleCampaign",
     "ScaleReport",
     "SerialWaveExecutor",
-    "WaveExecutor",
-    "calibrate",
     "drive_attempt",
     "finalize_failed",
     "post_mortem_phases",
-    "select_executor",
     "transport_for",
 ]

@@ -29,7 +29,7 @@ from ..obs.health import DeviceSample
 from ..obs.slo import Action, FleetTelemetry, WaveVerdict
 from ..sim.device import SimulatedDevice
 from .budget import CAUTION_TRANSPORT_RETRY, RetryGovernor
-from .executor import SerialWaveExecutor, WaveExecutor
+from .executor import SerialWaveExecutor
 from .journal import CampaignJournal
 
 __all__ = ["DeviceRecord", "DeviceState", "RolloutPolicy", "RetryPolicy",
@@ -61,11 +61,6 @@ class DeviceRecord:
     #: across attempts so an outage survived on attempt 1 stays survived
     #: — this is what lets flaky-link devices converge under retry.
     link: Optional[Link] = None
-    #: Host wall-clock latency per request round-trip, forwarded to
-    #: this device's transports (the bench harness's I/O profile).
-    #: Sleeps never touch the virtual clock, so reports are identical
-    #: at any value.
-    host_rtt_seconds: float = 0.0
     state: DeviceState = DeviceState.PENDING
     attempts: int = 0
     #: Transport-level interruptions summed over every attempt (the
@@ -218,8 +213,7 @@ def transport_for(record: DeviceRecord, server: UpdateServer,
     cls = PushTransport if record.transport == "push" else PullTransport
     return cls(record.device, server,
                interceptor=record.interceptor,
-               link=record.link, retry=transport_retry,
-               host_rtt_seconds=record.host_rtt_seconds)
+               link=record.link, retry=transport_retry)
 
 
 def drive_attempt(server: UpdateServer, record: DeviceRecord, target: int,
@@ -289,7 +283,7 @@ class Campaign:
 
     def __init__(self, server: UpdateServer, fleet: List[DeviceRecord],
                  policy: Optional[RolloutPolicy] = None,
-                 executor: Optional[WaveExecutor] = None,
+                 executor: Optional[SerialWaveExecutor] = None,
                  retry: Optional[RetryPolicy] = None,
                  metrics=None,
                  telemetry: Optional[FleetTelemetry] = None,
@@ -309,10 +303,9 @@ class Campaign:
         #: the legacy behaviour: ``policy.max_attempts`` back-to-back
         #: tries, no backoff, no quarantine.
         self.retry = retry
-        #: How each wave's devices are driven.  The serial executor is
-        #: the default; pass a
-        #: :class:`~repro.fleet.executor.ParallelWaveExecutor` to run a
-        #: wave on a thread pool.  Either way the report is identical.
+        #: How each wave's devices are driven; pass a
+        #: :class:`~repro.fleet.executor.SerialWaveExecutor` of your own
+        #: to attach executor metrics or a scrape hook.
         self.executor = executor or SerialWaveExecutor()
         #: Optional :class:`~repro.obs.MetricsRegistry` observing
         #: per-wave timings and outcome counters.  Purely additive: the
@@ -476,9 +469,8 @@ class Campaign:
             failures = 0
             wave_duration = 0.0
             # Merge strictly in wave order so aggregates (including the
-            # float energy sum) match the serial path bit-for-bit no
-            # matter which executor ran the wave — and no matter how
-            # many members came back from the journal instead.
+            # float energy sum) come out bit-for-bit the same no matter
+            # how many members came back from the journal instead.
             for record in wave:
                 entry = preseed.get(record.name)
                 if entry is not None:

@@ -1,8 +1,8 @@
 """Columnar fleet membership: one numpy row per device, not one object.
 
-The sparse-flash pickle path (PR 5) costs ~33 KB per hydrated device
-record; a million-device campaign would need ~33 GB before the first
-wave admits.  This module keeps fleet membership in a numpy structured
+A hydrated device record holds ~38 KB of live memory; a
+million-device campaign would need ~38 GB before the first wave
+admits.  This module keeps fleet membership in a numpy structured
 array — device id, firmware version, installed-slot digest, health
 score, attempt/interruption counters, lifecycle phase, campaign state,
 cohort id, next-event time, and the per-device outcome aggregates the
@@ -107,14 +107,13 @@ class DeviceSpec:
     name: str
     device_id: int
     transport: str = "pull"
-    host_rtt_seconds: float = 0.0
     unique: bool = False
     domain: Optional[str] = None
 
     def cohort_key(self) -> Tuple:
         if self.unique:
             return ("unique", self.name)
-        return (self.transport, self.host_rtt_seconds, self.domain)
+        return (self.transport, self.domain)
 
 
 class ColumnarFleet:

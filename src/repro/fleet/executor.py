@@ -1,56 +1,19 @@
-"""Wave executors: how a campaign drives the devices of one wave.
+"""The wave executor: how a campaign drives the devices of one wave.
 
 ``Campaign.run`` plans *waves* (canary first, then the rest) and models
 their wall-clock as if devices within a wave updated in parallel — each
-against its own radio.  Execution, however, was strictly serial.  This
-module makes the execution strategy pluggable:
-
-* :class:`SerialWaveExecutor` — the default; devices update one after
-  the other on the calling thread.  Fully deterministic and the right
-  choice for debugging and small fleets.
-* :class:`ParallelWaveExecutor` — a persistent ``concurrent.futures``
-  thread pool with configurable worker count and chunked dispatch.
-  Threads overlap I/O waits (host-paced transports) but share the GIL,
-  so they cannot speed up interpreter-bound device updates.
-* :class:`ProcessWaveExecutor` — a process pool that sidesteps the GIL
-  entirely: each worker receives a pickled copy of the server plus a
-  chunk of device records, runs the per-device protocol on its own
-  interpreter, and ships the mutated records (plus stats / cache
-  deltas) back for a wave-order merge.
-
-All three produce *identical* campaign results: each device is touched
-by exactly one task, outcomes are merged back in wave order (so float
-accumulation order matches the serial path bit-for-bit), and every
-simulated cost comes off the device's own virtual clock — never the
-host's.  ``tests/test_fleet_parallel.py`` asserts report equality.
-
-:func:`select_executor` picks between the three from a cheap
-:func:`calibrate` probe: thread-pool dispatch overhead, the pickle
-round-trip cost of one device record, and the host core count.  On a
-single-core host a CPU-bound wave stays serial — neither threads (GIL)
-nor processes (no second core) can beat it, and the bench harness
-flags the inversion rather than hiding it.
+against its own radio.  Every simulated cost comes off the device's own
+virtual clock, never the host's, so execution itself is serial: devices
+update one after the other on the calling thread, which keeps the
+campaign fully deterministic.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
-__all__ = [
-    "WaveExecutor",
-    "SerialWaveExecutor",
-    "ParallelWaveExecutor",
-    "ProcessWaveExecutor",
-    "Calibration",
-    "calibrate",
-    "select_executor",
-]
+__all__ = ["SerialWaveExecutor"]
 
 _Record = TypeVar("_Record")
 _Outcome = TypeVar("_Outcome")
@@ -59,50 +22,22 @@ _Outcome = TypeVar("_Outcome")
 UpdateFn = Callable[[_Record, int], _Outcome]
 
 
-class WaveExecutor:
-    """Strategy interface: run one wave, return outcomes in wave order."""
+class SerialWaveExecutor:
+    """Runs one wave device by device; returns outcomes in wave order."""
 
-    #: Optional :class:`~repro.obs.MetricsRegistry`: when set, each
-    #: wave's *host* wall-clock (the executor's own cost, distinct from
-    #: the devices' virtual time) is observed as
-    #: ``executor.wave_host_seconds``.
-    metrics = None
     #: Optional telemetry scrape hook, ``record -> None`` (set by the
     #: campaign when a :class:`~repro.obs.slo.FleetTelemetry` is
-    #: attached).  Called once per device after its update finishes —
-    #: a pure read of the device's metrics registry at its final
-    #: virtual-clock time, so scraping never perturbs the simulation.
-    #: The serial executor scrapes as it goes; the pooled executors
-    #: scrape post-merge in wave order, so all yield the same store.
+    #: attached).  Called once per device, right after its update
+    #: finishes — a pure read of the device's metrics registry at its
+    #: final virtual-clock time, so scraping never perturbs the
+    #: simulation.
     scrape = None
 
-    def run_wave(self, update: UpdateFn, wave: Sequence[_Record],
-                 target: int) -> List[_Outcome]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any worker pool (no-op for poolless executors)."""
-
-    def _scrape_wave(self, wave: Sequence[_Record]) -> None:
-        if self.scrape is not None:
-            for record in wave:
-                self.scrape(record)
-
-    def _observe_wave(self, host_seconds: float, devices: int) -> None:
-        if self.metrics is None:
-            return
-        from ..obs.metrics import HOST_SECONDS_BUCKETS
-
-        self.metrics.counter("executor.waves").inc()
-        self.metrics.counter("executor.devices_driven").inc(devices)
-        self.metrics.histogram("executor.wave_host_seconds",
-                               HOST_SECONDS_BUCKETS).observe(host_seconds)
-
-
-class SerialWaveExecutor(WaveExecutor):
-    """One device after another on the calling thread (seed behaviour)."""
-
     def __init__(self, metrics=None) -> None:
+        #: Optional :class:`~repro.obs.MetricsRegistry`: when set, each
+        #: wave's *host* wall-clock (the executor's own cost, distinct
+        #: from the devices' virtual time) is observed as
+        #: ``executor.wave_host_seconds``.
         self.metrics = metrics
 
     def run_wave(self, update: UpdateFn, wave: Sequence[_Record],
@@ -116,401 +51,12 @@ class SerialWaveExecutor(WaveExecutor):
         self._observe_wave(time.perf_counter() - start, len(wave))
         return outcomes
 
+    def _observe_wave(self, host_seconds: float, devices: int) -> None:
+        if self.metrics is None:
+            return
+        from ..obs.metrics import HOST_SECONDS_BUCKETS
 
-class ParallelWaveExecutor(WaveExecutor):
-    """Thread-pool execution of a wave with chunked dispatch.
-
-    ``max_workers`` bounds concurrency (default: CPU count, capped at
-    16 — device updates are mostly interpreter-bound, so more threads
-    only add contention).  ``chunk_size`` bounds how many device tasks
-    are in flight at once, keeping memory flat on very large waves;
-    it defaults to ``4 * max_workers``.
-
-    The pool is created lazily on the first multi-device wave and
-    **reused across waves** — per-wave pool construction used to cost
-    more than the threads saved on I/O-light campaigns, inverting the
-    speedup this executor exists to provide.  Call :meth:`close` (or
-    rely on interpreter exit) to release the threads.
-
-    Determinism: ``ThreadPoolExecutor.map`` yields results in
-    submission order, each :class:`~repro.fleet.campaign.DeviceRecord`
-    is owned by exactly one task, and shared components (the update
-    server, the fast crypto engine's caches) take locks internally.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None, metrics=None) -> None:
-        if max_workers is None:
-            max_workers = min(16, os.cpu_count() or 1)
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        if chunk_size is None:
-            chunk_size = 4 * max_workers
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        self.max_workers = max_workers
-        self.chunk_size = chunk_size
-        self.metrics = metrics
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def run_wave(self, update: UpdateFn, wave: Sequence[_Record],
-                 target: int) -> List[_Outcome]:
-        start_host = time.perf_counter()
-        if len(wave) <= 1:
-            results = [update(record, target) for record in wave]
-            self._scrape_wave(wave)
-            self._observe_wave(time.perf_counter() - start_host, len(wave))
-            return results
-        results: List[_Outcome] = []
-        pool = self._ensure_pool()
-        for start in range(0, len(wave), self.chunk_size):
-            chunk = wave[start:start + self.chunk_size]
-            results.extend(pool.map(update, chunk, repeat(target)))
-        # Scrape post-merge, in wave order: worker threads never touch
-        # the shared time-series store, so it fills deterministically.
-        self._scrape_wave(wave)
-        self._observe_wave(time.perf_counter() - start_host, len(wave))
-        return results
-
-
-def _run_process_chunk(payload):
-    """Process-pool worker: update one chunk of devices start-to-finish.
-
-    The payload carries pickled copies of the campaign's server, its
-    policies, and the chunk's device records.  The worker zeroes the
-    copied stats, snapshots the cache key sets and the crypto engine's
-    counters, then drives each record through the campaign's own
-    ``_update_device`` — the exact code path the serial executor runs —
-    and returns everything the parent needs to merge: the mutated
-    records, the outcomes, and the *deltas* this chunk contributed
-    (server counters, new delta-cache entries, new artifact-cache
-    entries, artifact counters, engine counter diffs).
-    """
-    server, policy, retry, records, target, engine_name = payload
-    from ..core.server import ServerStats
-    from ..crypto.engine import get_engine, use_engine
-    from ..delta.artifacts import ArtifactStats
-    from .campaign import Campaign
-
-    delta_keys = server.delta_cache_keys()
-    artifact_keys = server.artifacts.snapshot_keys()
-    server.stats = ServerStats()
-    server.artifacts.stats = ArtifactStats()
-    with use_engine(engine_name):
-        engine = get_engine()
-        snapshot = getattr(engine, "stats_snapshot", None)
-        engine_baseline = snapshot() if snapshot is not None else None
-        campaign = Campaign(server, list(records), policy=policy,
-                            retry=retry)
-        outcomes = [campaign._update_device(record, target)
-                    for record in records]
-        engine_delta = (engine.stats_snapshot().diff(engine_baseline)
-                        if engine_baseline is not None else None)
-    return (
-        list(records),
-        outcomes,
-        server.stats,
-        server.export_deltas_since(delta_keys),
-        server.artifacts.export_since(artifact_keys),
-        server.artifacts.stats,
-        engine_delta,
-    )
-
-
-class ProcessWaveExecutor(WaveExecutor):
-    """Process-pool execution of a wave — the GIL does not apply.
-
-    Each worker process receives a pickled (server, policies, record
-    chunk) payload, runs the chunk with the campaign's own per-device
-    code, and returns the mutated records plus stats/cache deltas.
-    The parent merges chunks strictly in wave order:
-
-    * each local :class:`~repro.fleet.campaign.DeviceRecord` adopts its
-      worker twin's state wholesale (``__dict__`` swap — the worker
-      copy *is* the authoritative post-update device);
-    * server counters fold in via ``UpdateServer.merge_stats``, new
-      delta-cache and artifact-cache entries via ``adopt_deltas`` /
-      ``ArtifactCache.merge`` (content-addressed, so duplicates across
-      chunks collapse to identical bytes);
-    * fast-engine counters fold in via ``FastEngine.merge_stats``.
-
-    Because the merge replays in wave order and every simulated cost
-    lives on per-device virtual clocks, the campaign report is
-    byte-identical to the serial executor's.
-
-    ``chunk_size`` defaults to an even split of the wave across
-    ``max_workers`` — one payload per worker amortises the pickled
-    server copy.  Non-campaign update callables and waves smaller than
-    ``min_fork_wave`` (default: ``max_workers``) fall back to
-    in-process serial execution: a wave that cannot keep every worker
-    busy does not amortise the dispatch, and running the small canary
-    wave in-process warms the parent's crypto caches so the
-    fork-context workers *inherit* them copy-on-write instead of each
-    rebuilding the ECDSA tables from scratch.
-
-    The pool is fork-context where available (cheap worker start, no
-    re-import) and persists across waves; call :meth:`close` to reap.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
-                 min_fork_wave: Optional[int] = None, metrics=None) -> None:
-        if max_workers is None:
-            max_workers = min(16, os.cpu_count() or 1)
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        if min_fork_wave is None:
-            min_fork_wave = max_workers
-        if min_fork_wave < 2:
-            min_fork_wave = 2
-        self.max_workers = max_workers
-        self.chunk_size = chunk_size
-        self.min_fork_wave = min_fork_wave
-        self.metrics = metrics
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            try:
-                import multiprocessing
-
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-fork platforms
-                context = None
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=context)
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _chunks(self, wave: Sequence[_Record]) -> List[Sequence[_Record]]:
-        size = self.chunk_size
-        if size is None:
-            size = -(-len(wave) // min(self.max_workers, len(wave)))
-        return [wave[start:start + size]
-                for start in range(0, len(wave), size)]
-
-    def run_wave(self, update: UpdateFn, wave: Sequence[_Record],
-                 target: int) -> List[_Outcome]:
-        start_host = time.perf_counter()
-        campaign = getattr(update, "__self__", None)
-        if (campaign is None or len(wave) < self.min_fork_wave
-                or self.max_workers < 2):
-            # Nothing to parallelise (or a bare callable we cannot
-            # ship to a worker): run in-process, identical to serial.
-            results = [update(record, target) for record in wave]
-            self._scrape_wave(wave)
-            self._observe_wave(time.perf_counter() - start_host, len(wave))
-            return results
-
-        from ..crypto.engine import get_engine
-
-        engine_name = get_engine().name
-        chunks = self._chunks(wave)
-        payloads = [(campaign.server, campaign.policy, campaign.retry,
-                     list(chunk), target, engine_name) for chunk in chunks]
-        pool = self._ensure_pool()
-        results: List[_Outcome] = []
-        # map() yields in submission order, so the merge below runs
-        # strictly in wave order even when chunks finish out of order.
-        for chunk, returned in zip(chunks,
-                                   pool.map(_run_process_chunk, payloads)):
-            (remote_records, outcomes, server_stats, new_deltas,
-             new_artifacts, artifact_stats, engine_delta) = returned
-            for local, remote in zip(chunk, remote_records):
-                local.__dict__.update(remote.__dict__)
-            campaign.server.merge_stats(server_stats)
-            campaign.server.adopt_deltas(new_deltas)
-            campaign.server.artifacts.merge(new_artifacts)
-            campaign.server.artifacts.merge_stats(artifact_stats)
-            if engine_delta is not None:
-                engine = get_engine()
-                merge = getattr(engine, "merge_stats", None)
-                if merge is not None:
-                    merge(engine_delta)
-            results.extend(outcomes)
-        self._scrape_wave(wave)
-        self._observe_wave(time.perf_counter() - start_host, len(wave))
-        return results
-
-
-# -- executor selection ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Calibration:
-    """What the selection probe measured on *this* host.
-
-    ``dispatch_seconds`` — thread-pool overhead per no-op task;
-    ``pickle_seconds`` — round-trip (dumps + loads) cost of one device
-    record, the marginal price a process pool pays per device;
-    ``cpu_count`` — cores the GIL-free executor could actually use;
-    ``process_speedup`` — measured two-process vs. serial speedup on a
-    small CPU workload (None when the probe was skipped).  Sub-1x
-    means forking loses outright on this host, no matter what the
-    per-device arithmetic promises.
-    """
-
-    dispatch_seconds: float
-    pickle_seconds: float
-    cpu_count: int
-    process_speedup: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        result = {
-            "dispatch_seconds": self.dispatch_seconds,
-            "pickle_seconds": self.pickle_seconds,
-            "cpu_count": self.cpu_count,
-        }
-        if self.process_speedup is not None:
-            result["process_speedup"] = self.process_speedup
-        return result
-
-
-def calibrate(sample_record=None, tasks: int = 64,
-              probe_processes: bool = False) -> Calibration:
-    """Cheap probe of this host's parallelism economics (~1 ms).
-
-    Times ``tasks`` no-op submissions through a two-thread pool for the
-    dispatch overhead, and one pickle round-trip of ``sample_record``
-    (when given) for the process-pool shipping cost.
-
-    ``probe_processes=True`` additionally measures a real two-process
-    vs. serial speedup on a small CPU workload (~50 ms): the direct
-    empirical answer to "does forking pay on this host".  On a
-    single-core box the measured speedup comes back *below* 1.0 —
-    exactly the ``process_speedup: 0.62`` inversion the bench artifact
-    recorded — and :func:`select_executor` then refuses the process
-    pool regardless of the per-device cost arithmetic.
-    """
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        start = time.perf_counter()
-        for _ in pool.map(_noop, range(tasks)):
-            pass
-        dispatch = (time.perf_counter() - start) / tasks
-    pickle_seconds = 0.0
-    if sample_record is not None:
-        start = time.perf_counter()
-        pickle.loads(pickle.dumps(sample_record,
-                                  protocol=pickle.HIGHEST_PROTOCOL))
-        pickle_seconds = time.perf_counter() - start
-    process_speedup = None
-    if probe_processes:
-        process_speedup = _probe_process_speedup()
-    return Calibration(dispatch_seconds=dispatch,
-                       pickle_seconds=pickle_seconds,
-                       cpu_count=os.cpu_count() or 1,
-                       process_speedup=process_speedup)
-
-
-def _noop(_value) -> None:
-    return None
-
-
-def _spin(iterations: int) -> int:
-    """A small pure-CPU workload (keeps the GIL, pickles trivially)."""
-    total = 0
-    for value in range(iterations):
-        total ^= value * 2654435761 & 0xFFFFFFFF
-    return total
-
-
-def _probe_process_speedup(iterations: int = 200_000,
-                           chunks: int = 4) -> float:
-    """Measured serial/two-process wall-clock ratio on `_spin` work.
-
-    > 1.0 — forking genuinely wins on this host; < 1.0 — the fork +
-    pickle + scheduling overhead exceeds any parallel gain (the
-    single-core inversion).  Failures to fork (restricted hosts)
-    report 0.0, which also vetoes the process pool.
-    """
-    work = [iterations] * chunks
-    start = time.perf_counter()
-    for item in work:
-        _spin(item)
-    serial = time.perf_counter() - start
-    try:
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            start = time.perf_counter()
-            for _ in pool.map(_spin, work):
-                pass
-            forked = time.perf_counter() - start
-    except (OSError, ValueError):  # pragma: no cover - restricted hosts
-        return 0.0
-    if forked <= 0:  # pragma: no cover - timer degenerate
-        return 0.0
-    return serial / forked
-
-
-#: A process pool only pays off once per-device work dwarfs the pickle
-#: round-trip by this factor (the payload crosses the boundary twice
-#: and the worker re-runs collector binding on restore).
-PROCESS_PAYOFF_FACTOR = 4.0
-
-#: Above this fraction of host-paced I/O waiting, threads win no
-#: matter the core count: the GIL is released while waiting.
-IO_THREAD_THRESHOLD = 0.5
-
-
-def select_executor(wave_size: int,
-                    io_fraction: float = 0.0,
-                    per_device_seconds: float = 0.0,
-                    calibration: Optional[Calibration] = None,
-                    max_workers: Optional[int] = None,
-                    metrics=None) -> WaveExecutor:
-    """Pick the executor the calibration says will actually win.
-
-    * one device (or one worker) → :class:`SerialWaveExecutor` —
-      nothing to overlap;
-    * I/O-dominated waves (``io_fraction`` ≥ 0.5) →
-      :class:`ParallelWaveExecutor` — threads overlap host-paced
-      waits and the GIL is released while waiting, so this wins even
-      on one core;
-    * CPU-bound on a single core → :class:`SerialWaveExecutor` — the
-      honest answer: threads serialise on the GIL and a process pool
-      has no second core to run on, so both only add overhead;
-    * CPU-bound on multiple cores with per-device work ≫ the pickle
-      round-trip → :class:`ProcessWaveExecutor` — the GIL-free path;
-    * otherwise serial: the work is too small to amortise either
-      pool's overhead.
-    """
-    if calibration is None:
-        calibration = calibrate()
-    if wave_size <= 1 or (max_workers is not None and max_workers <= 1):
-        return SerialWaveExecutor(metrics=metrics)
-    if io_fraction >= IO_THREAD_THRESHOLD:
-        # Waiting threads hold no core and no GIL, so the thread count
-        # is not core-limited — overlap as many waits as sensible.
-        workers = max_workers if max_workers is not None \
-            else min(16, max(4, calibration.cpu_count))
-        return ParallelWaveExecutor(max_workers=workers, metrics=metrics)
-    workers = max_workers if max_workers is not None \
-        else min(16, calibration.cpu_count)
-    if workers <= 1 or calibration.cpu_count <= 1:
-        return SerialWaveExecutor(metrics=metrics)
-    if (calibration.process_speedup is not None
-            and calibration.process_speedup < 1.0):
-        # The probe *measured* forking losing on this host (the
-        # single-core `process_speedup: 0.62` inversion): no amount of
-        # per-device work rescues a pool that runs slower end-to-end.
-        return SerialWaveExecutor(metrics=metrics)
-    floor = max(calibration.pickle_seconds * PROCESS_PAYOFF_FACTOR,
-                calibration.dispatch_seconds)
-    if per_device_seconds > floor:
-        return ProcessWaveExecutor(max_workers=workers, metrics=metrics)
-    return SerialWaveExecutor(metrics=metrics)
+        self.metrics.counter("executor.waves").inc()
+        self.metrics.counter("executor.devices_driven").inc(devices)
+        self.metrics.histogram("executor.wave_host_seconds",
+                               HOST_SECONDS_BUCKETS).observe(host_seconds)

@@ -1,8 +1,8 @@
 """Fleet-scale campaigns: event-driven rollout over columnar state.
 
 The hydrated :class:`~repro.fleet.campaign.Campaign` materialises one
-:class:`~repro.sim.SimulatedDevice` per fleet member — ~33 KB per
-sparse-flash pickle, ~33 GB for a million devices.  This module runs
+:class:`~repro.sim.SimulatedDevice` per fleet member — ~38 KB of live
+memory each, ~38 GB for a million devices.  This module runs
 the *same* rollout (same policies, same per-attempt driver, same
 verdict sequence) with three structural changes:
 
@@ -85,7 +85,7 @@ from .columnar import (
     PHASE_DONE,
     STATE_CODES,
 )
-from .executor import SerialWaveExecutor, WaveExecutor
+from .executor import SerialWaveExecutor
 from .scheduler import Event, EventScheduler
 
 __all__ = ["ScaleCampaign", "ScaleReport", "Hydrator"]
@@ -294,7 +294,7 @@ class ScaleCampaign:
     def __init__(self, server: UpdateServer, fleet: ColumnarFleet,
                  hydrator: Hydrator,
                  policy: Optional[RolloutPolicy] = None,
-                 executor: Optional[WaveExecutor] = None,
+                 executor: Optional[SerialWaveExecutor] = None,
                  retry: Optional[RetryPolicy] = None,
                  metrics=None,
                  telemetry: Optional[FleetTelemetry] = None,
@@ -439,10 +439,6 @@ class ScaleCampaign:
                 members=members, record=record))
         wave.open_tasks = len(wave.tasks)
 
-        # First attempts fan out through the wave executor.  A closure
-        # (no ``__self__``) keeps the process-pool executor on its
-        # in-process fallback: representatives carry live device state
-        # the campaign folds back, which must not fork away.
         server, transport_retry = self.server, self._transport_retry()
 
         def first_attempt(record: DeviceRecord, target: int):

@@ -84,9 +84,8 @@ class FlashMemory:
     Storage is paged: ``_pages`` maps a page index to the ``bytearray``
     of a page that holds programmed bytes, and a page with no entry
     reads back erased (``0xFF``).  A provisioned device is mostly erased
-    flash, so this keeps live memory (and a pickle shipped to a
-    process-pool worker) proportional to what was programmed, and
-    :meth:`erase_page` is a dict removal.  Every operation works on
+    flash, so this keeps live memory proportional to what was
+    programmed, and :meth:`erase_page` is a dict removal.  Every operation works on
     whole slices; none loops over bytes in Python.
     """
 

@@ -31,7 +31,6 @@ and abandonment is emitted into the agent's event log and counted in
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -125,25 +124,13 @@ class _TransportBase:
     def __init__(self, device: SimulatedDevice, server: UpdateServer,
                  link: Link, interceptor: Optional[Interceptor] = None,
                  reboot_on_success: bool = True,
-                 retry: Optional[TransportRetryPolicy] = None,
-                 host_rtt_seconds: float = 0.0) -> None:
-        if host_rtt_seconds < 0:
-            raise ValueError("host_rtt_seconds must be non-negative")
+                 retry: Optional[TransportRetryPolicy] = None) -> None:
         self.device = device
         self.server = server
         self.link = link
         self.interceptor = interceptor
         self.reboot_on_success = reboot_on_success
         self.retry = retry
-        #: Host wall-clock latency of one live-network request
-        #: round-trip (token exchange, announcement poll).  The default
-        #: 0.0 keeps the transport purely simulated; the bench
-        #: harness's I/O profile sets it to model talking to a real
-        #: update server over a real network.  The wait is a
-        #: ``time.sleep`` — it never touches the device's virtual
-        #: clock, so outcomes and campaign reports stay byte-identical
-        #: with or without it.
-        self.host_rtt_seconds = host_rtt_seconds
         self.bytes_over_air = 0
         self._failures = 0
         self._rng = random.Random(retry.seed if retry else 0)
@@ -204,11 +191,6 @@ class _TransportBase:
 
     def _control_exchange(self, payload_bytes: int) -> None:
         """A small request/response on the device link (token, announce)."""
-        if self.host_rtt_seconds > 0.0:
-            # Host-paced network wait (I/O profile): the GIL is
-            # released while sleeping, which is exactly the overlap a
-            # pooled wave executor exists to exploit.
-            time.sleep(self.host_rtt_seconds)
         report = self._transfer(payload_bytes)
         extra = (_REQUEST_PACKETS - 1) * self.link.profile.packet_interval
         self.device.account_radio(report.seconds / 2 + extra, "tx")
@@ -333,12 +315,10 @@ class PushTransport(_TransportBase):
                  interceptor: Optional[Interceptor] = None,
                  reboot_on_success: bool = True,
                  link_profile: LinkProfile = BLE_GATT,
-                 retry: Optional[TransportRetryPolicy] = None,
-                 host_rtt_seconds: float = 0.0) -> None:
+                 retry: Optional[TransportRetryPolicy] = None) -> None:
         super().__init__(device, server,
                          link or Link(link_profile),
-                         interceptor, reboot_on_success, retry,
-                         host_rtt_seconds)
+                         interceptor, reboot_on_success, retry)
 
     def _propagate(self) -> bool:
         # Steps 4-5: the phone requests the device token over BLE.
@@ -381,12 +361,10 @@ class PullTransport(_TransportBase):
                  interceptor: Optional[Interceptor] = None,
                  reboot_on_success: bool = True,
                  link_profile: LinkProfile = COAP_6LOWPAN,
-                 retry: Optional[TransportRetryPolicy] = None,
-                 host_rtt_seconds: float = 0.0) -> None:
+                 retry: Optional[TransportRetryPolicy] = None) -> None:
         super().__init__(device, server,
                          link or Link(link_profile),
-                         interceptor, reboot_on_success, retry,
-                         host_rtt_seconds)
+                         interceptor, reboot_on_success, retry)
 
     def poll_announcement(self) -> int:
         """CoAP GET of the server's announcement resource."""

@@ -107,9 +107,8 @@ class Series:
 class TimeSeriesStore:
     """Named, bounded series; get-or-create like the metrics registry.
 
-    Mutation is lock-protected so the parallel wave executor's scrape
-    hook can share one store across worker threads (in practice scrapes
-    happen post-merge in wave order, but the store does not rely on it).
+    Mutation is lock-protected, so one store can be shared across
+    threads.
     """
 
     def __init__(self, max_points: int = DEFAULT_MAX_POINTS) -> None:

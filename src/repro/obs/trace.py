@@ -120,19 +120,6 @@ class Tracer:
         self._stack: List[Span] = []
         self._next_id = 1
 
-    def __getstate__(self) -> dict:
-        # now_fn is normally a closure over a live clock — unpicklable.
-        # The owner (SimulatedDevice) re-points it at its clock on
-        # restore; a bare restored tracer timestamps from zero.
-        state = self.__dict__.copy()
-        state["now_fn"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self.now_fn is None:
-            self.now_fn = lambda: 0.0
-
     # -- recording ----------------------------------------------------------
 
     def span(self, name: str, category: str = "update",

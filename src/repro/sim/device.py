@@ -126,21 +126,6 @@ class SimulatedDevice:
                 log.subscribe(self._observe_event)
                 subscribed.append(log)
 
-    def __setstate__(self, state: dict) -> None:
-        """Restore after a trip to a process-pool worker.
-
-        Pickling drops everything that cannot cross a process boundary:
-        the tracer's and black box's ``now_fn`` closures over the
-        virtual clock, and the metrics registry's collector closures
-        over this device.  Rebind all of them against the restored
-        objects, so a worker-side device meters and observes exactly
-        like the original.
-        """
-        self.__dict__.update(state)
-        self.tracer.now_fn = lambda: self.clock.now
-        self.blackbox.now_fn = lambda: self.clock.now
-        bind_device(self.metrics, self)
-
     def _observe_event(self, event) -> None:
         """Fan one lifecycle event out to black box, metrics and tracer."""
         label = event.kind.value

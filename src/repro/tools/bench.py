@@ -1,7 +1,7 @@
 """Fleet-scale performance benchmark harness.
 
 Measures the hot path the ROADMAP's "millions of devices" north star
-depends on, under both crypto engines and both wave executors:
+depends on, under both crypto engines:
 
 * SHA-256 throughput (MB/s) — reference (from-scratch) vs. fast
   (hashlib) engine;
@@ -11,26 +11,11 @@ depends on, under both crypto engines and both wave executors:
 * delta generation time — bsdiff + LZSS over a firmware pair (engine
   independent, but it gates campaign start-up);
 * end-to-end campaign throughput (devices/s) on a seeded fleet, for
-  the seed path (reference engine, serial executor), the fast engine
-  alone, the fast engine + thread-pool executor, and the fast engine +
-  process-pool executor — asserting along the way that every
-  configuration produces the *identical*
-  :class:`~repro.fleet.campaign.CampaignReport`.
-
-The campaign runs under two **profiles**:
-
-* ``campaign`` (CPU profile) — pure simulation, no host-paced waits.
-  On a single-core host this is where the GIL finding shows up: the
-  pooled executors *lose* to serial (threads serialise on the GIL,
-  processes pay pickle + fork with no second core to win it back).
-  :func:`find_inversions` names these inversions; ``cli bench
-  --strict`` turns them into a nonzero exit.
-* ``campaign_io`` (I/O profile) — each request round-trip sleeps a
-  host RTT (:class:`~repro.net.transports` ``host_rtt_seconds``),
-  modeling a live network between campaign runner and update server.
-  Sleeps release the GIL and never touch the virtual clock, so the
-  pooled executors overlap them and win while reports stay
-  byte-identical.
+  the seed path (reference engine) and the fast engine — asserting
+  along the way that both produce the *identical*
+  :class:`~repro.fleet.campaign.CampaignReport`;
+* the columnar ``fleet_scale`` campaign: devices/s, peak RSS, and the
+  memory one row costs against one hydrated device.
 
 Results are written to ``BENCH_fleet.json`` (repo root by convention)
 so subsequent PRs can track the trajectory::
@@ -52,11 +37,12 @@ subset inside tier-1.
 
 from __future__ import annotations
 
+import gc
 import os
-import pickle
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+import tracemalloc
+from typing import Dict, List, Optional
 
 from ..core import (
     DeviceProfile,
@@ -77,12 +63,9 @@ from ..fleet import (
     ColumnarFleet,
     DeviceRecord,
     DeviceSpec,
-    ParallelWaveExecutor,
-    ProcessWaveExecutor,
     RolloutPolicy,
     ScaleCampaign,
     SerialWaveExecutor,
-    calibrate,
 )
 from ..memory import MemoryLayout
 from ..obs import MetricsRegistry, bind_engine, bind_server
@@ -98,14 +81,12 @@ __all__ = [
     "bench_delta_fastpath",
     "bench_campaign",
     "bench_fleet_scale",
-    "find_inversions",
     "run_all",
     "run_delta",
     "write_results",
     "write_delta_results",
     "compare_to_baseline",
     "GATE_METRICS",
-    "IO_GATE_METRICS",
     "DELTA_GATE_METRICS",
     "FLEET_SCALE_HIGHER_IS_BETTER",
     "FLEET_SCALE_LOWER_IS_BETTER",
@@ -284,15 +265,11 @@ def bench_delta_fastpath(image_size: int = 96 * 1024) -> Dict[str, object]:
 
 
 def _build_campaign(device_count: int, image_size: int,
-                    executor, metrics=None,
-                    host_rtt_seconds: float = 0.0) -> Campaign:
+                    executor, metrics=None) -> Campaign:
     """A seeded fleet at v1 with v2 published, ready to run.
 
     Construction is fully deterministic, so every configuration under
     test drives a bit-identical fleet against a bit-identical release.
-    ``host_rtt_seconds`` > 0 selects the I/O profile: every control
-    exchange sleeps that long on the host clock (the virtual clock is
-    untouched, so reports stay identical across executors).
     """
     generator = FirmwareGenerator(seed=b"bench-campaign")
     fw_v1 = generator.firmware(image_size, image_id=1)
@@ -318,7 +295,6 @@ def _build_campaign(device_count: int, image_size: int,
             name="bench-%03d" % index,
             device=device,
             transport="pull" if index % 2 else "push",
-            host_rtt_seconds=host_rtt_seconds,
         ))
 
     server.publish(vendor.release(fw_v2, 2))
@@ -366,8 +342,7 @@ def _build_scale_campaign(device_count: int,
         )
         provision_device(provisioning, layout.get("a"), spec.device_id)
         return DeviceRecord(name=spec.name, device=device,
-                            transport=spec.transport,
-                            host_rtt_seconds=spec.host_rtt_seconds)
+                            transport=spec.transport)
 
     fleet = ColumnarFleet(device_count, spec_fn, baseline_version=1)
     return ScaleCampaign(server, fleet, hydrator,
@@ -407,6 +382,31 @@ def _sampled_parity(sample_devices: int, image_size: int) -> bool:
     return True
 
 
+def _hydrated_bytes_per_device(campaign: ScaleCampaign) -> int:
+    """Live memory one hydrated device record holds, in bytes.
+
+    Hydrates a first record to pay the one-time costs (engine tables,
+    server caches, interned firmware), then counts what ``tracemalloc``
+    still sees held after hydrating a *second* one.
+    """
+    fleet = campaign.fleet
+    campaign.hydrator(fleet.spec(0))
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        # Bound to a name so the record stays alive for the reading.
+        second = campaign.hydrator(fleet.spec(min(1, fleet.count - 1)))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return held
+
+
 def bench_fleet_scale(device_count: int = 10_000,
                       image_size: int = 24 * 1024,
                       sample_devices: int = 20) -> Dict[str, object]:
@@ -416,17 +416,15 @@ def bench_fleet_scale(device_count: int = 10_000,
     columnar rows (hydrating only cohort representatives), recording
     devices/s, peak RSS (``resource.getrusage``), columnar bytes/row
     and — for the memory-per-device trajectory the ROADMAP tracks —
-    the pickle cost of one fully hydrated (paged-flash) record.  A
-    ``sample_devices``-sized hydrated-vs-columnar parity cross-check
-    runs first and the artifact records its verdict.
+    the live bytes one hydrated device holds.  A ``sample_devices``-sized
+    hydrated-vs-columnar parity cross-check runs first and the artifact
+    records its verdict.
     """
     import resource
 
     parity = _sampled_parity(sample_devices, image_size)
     campaign = _build_scale_campaign(device_count, image_size)
-    sample_record = campaign.hydrator(campaign.fleet.spec(0))
-    pickle_bytes = len(pickle.dumps(sample_record,
-                                    protocol=pickle.HIGHEST_PROTOCOL))
+    hydrated_bytes = _hydrated_bytes_per_device(campaign)
     with use_engine("fast") as engine:
         engine.clear_caches()
         start = time.perf_counter()
@@ -442,7 +440,7 @@ def bench_fleet_scale(device_count: int = 10_000,
         "scale_seconds": round(elapsed, 3),
         "devices_per_s": round(device_count / elapsed, 1),
         "peak_rss_kb": peak_rss_kb,
-        "pickle_bytes_per_record": pickle_bytes,
+        "hydrated_bytes_per_device": hydrated_bytes,
         "sampled_parity": parity,
         "sample_devices": sample_devices,
     })
@@ -450,65 +448,42 @@ def bench_fleet_scale(device_count: int = 10_000,
 
 
 def bench_campaign(device_count: int = 50,
-                   image_size: int = 24 * 1024,
-                   max_workers: Optional[int] = None,
-                   host_rtt_seconds: float = 0.0,
-                   include_reference: bool = True,
-                   process_workers: Optional[int] = None
-                   ) -> Dict[str, object]:
-    """End-to-end campaign throughput per engine/executor configuration.
+                   image_size: int = 24 * 1024) -> Dict[str, object]:
+    """End-to-end campaign throughput per crypto engine.
 
-    Four configurations by default — reference engine + serial executor
-    (the seed path), fast engine + serial, fast engine + thread pool,
-    fast engine + process pool.  ``include_reference=False`` drops the
-    slow seed path (used for the I/O profile, where only the executor
-    comparison is interesting).  Every configuration must produce the
-    identical :class:`CampaignReport` or the bench raises.
+    Two configurations — the reference engine (the seed path) and the
+    fast engine, both on the serial wave executor.  Both must produce
+    the identical :class:`CampaignReport` or the bench raises.
     """
-    configurations = []
-    if include_reference:
-        configurations.append(
-            ("reference_serial", "reference", SerialWaveExecutor()))
-    configurations.append(("fast_serial", "fast", SerialWaveExecutor()))
-    configurations.append(
-        ("fast_parallel", "fast", ParallelWaveExecutor(max_workers=max_workers)))
-    configurations.append(
-        ("fast_process", "fast",
-         ProcessWaveExecutor(max_workers=process_workers or max_workers or 2)))
     results: Dict[str, object] = {
         "devices": device_count,
         "image_bytes": image_size,
     }
-    if host_rtt_seconds > 0.0:
-        results["host_rtt_seconds"] = host_rtt_seconds
     reports = {}
     crypto_stats: Dict[str, object] = {}
     server_stats: Dict[str, object] = {}
     metrics_out: Dict[str, object] = {}
-    for label, engine_name, executor in configurations:
+    for label, engine_name in (("reference_serial", "reference"),
+                               ("fast_serial", "fast")):
         # One registry per configuration: campaign wave counters and the
         # engine/server stats mirrors land side by side.  Observation is
         # purely additive — the CampaignReport equality assertion below
         # is what proves it.
         registry = MetricsRegistry()
-        executor.metrics = registry
-        campaign = _build_campaign(device_count, image_size, executor,
-                                   metrics=registry,
-                                   host_rtt_seconds=host_rtt_seconds)
+        campaign = _build_campaign(device_count, image_size,
+                                   SerialWaveExecutor(metrics=registry),
+                                   metrics=registry)
         bind_server(registry, campaign.server)
-        try:
-            with use_engine(engine_name) as engine:
-                if isinstance(engine, FastEngine):
-                    engine.clear_caches()   # cold start: tables count too
-                    bind_engine(registry, engine)
-                start = time.perf_counter()
-                report = campaign.run()
-                elapsed = time.perf_counter() - start
-                crypto_stats[label] = (engine.stats.to_dict()
-                                       if isinstance(engine, FastEngine)
-                                       else None)
-        finally:
-            executor.close()
+        with use_engine(engine_name) as engine:
+            if isinstance(engine, FastEngine):
+                engine.clear_caches()   # cold start: tables count too
+                bind_engine(registry, engine)
+            start = time.perf_counter()
+            report = campaign.run()
+            elapsed = time.perf_counter() - start
+            crypto_stats[label] = (engine.stats.to_dict()
+                                   if isinstance(engine, FastEngine)
+                                   else None)
         server_stats[label] = campaign.server.stats.to_dict()
         metrics_out[label] = registry.snapshot()
         if report.aborted or len(report.updated) != device_count:
@@ -519,89 +494,40 @@ def bench_campaign(device_count: int = 50,
         results["%s_seconds" % label] = round(elapsed, 3)
         results["%s_devices_per_s" % label] = round(
             device_count / elapsed, 2)
-    baseline_report = reports["fast_serial"]
-    for label, report_dict in reports.items():
-        if report_dict != baseline_report:
-            raise AssertionError(
-                "campaign report for %s diverged from fast_serial" % label)
+    if reports["reference_serial"] != reports["fast_serial"]:
+        raise AssertionError(
+            "campaign report for reference_serial diverged from "
+            "fast_serial")
     results["reports_identical"] = True
-    if include_reference:
-        results["speedup"] = round(
-            results["reference_serial_seconds"]
-            / results["fast_parallel_seconds"], 2)
-    results["thread_speedup"] = round(
-        results["fast_serial_seconds"] / results["fast_parallel_seconds"], 2)
-    results["process_speedup"] = round(
-        results["fast_serial_seconds"] / results["fast_process_seconds"], 2)
-    if isinstance(max_workers, int):
-        results["max_workers"] = max_workers
+    results["speedup"] = round(
+        results["reference_serial_seconds"]
+        / results["fast_serial_seconds"], 2)
     results["crypto_stats"] = crypto_stats
     results["server_stats"] = server_stats
     results["metrics"] = metrics_out
     return results
 
 
-def find_inversions(results: Dict[str, object]) -> List[str]:
-    """Name every executor inversion in a bench result document.
-
-    An *inversion* is a pooled executor (threads or processes) running
-    *slower* than the serial executor under the same engine — the
-    empirical GIL finding on single-core hosts.  Returns human-readable
-    descriptions; ``cli bench`` prints them as warnings and ``--strict``
-    turns a non-empty list into a nonzero exit.  Tolerates partial or
-    synthetic documents: sections and metrics that are absent are
-    simply skipped.
-    """
-    inversions: List[str] = []
-    for section in ("campaign", "campaign_io"):
-        data = results.get(section)
-        if not isinstance(data, dict):
-            continue
-        serial = data.get("fast_serial_seconds")
-        if not isinstance(serial, (int, float)) or serial <= 0:
-            continue
-        for pooled in ("fast_parallel", "fast_process"):
-            value = data.get("%s_seconds" % pooled)
-            if isinstance(value, (int, float)) and value > serial:
-                inversions.append(
-                    "%s: %s (%.3f s) is slower than fast_serial (%.3f s) "
-                    "— pooled execution loses on this host/profile"
-                    % (section, pooled, value, serial))
-    return inversions
-
-
 # -- harness ----------------------------------------------------------------
 
 
 def run_all(device_count: int = 50, image_size: int = 24 * 1024,
-            max_workers: Optional[int] = None,
-            io_rtt_seconds: float = 0.05,
             scale_devices: Optional[int] = None) -> Dict[str, object]:
     """Run every benchmark; returns the JSON-ready result document.
 
     ``scale_devices`` sizes the columnar ``fleet_scale`` section; the
-    hydrated executor-comparison campaigns stay capped at
+    hydrated engine-comparison campaigns stay capped at
     ``device_count`` (hydrating a million full simulators is exactly
     what the columnar path exists to avoid).
     """
     previous = get_engine().name
-    campaign = bench_campaign(device_count, image_size, max_workers)
-    # I/O profile: no reference engine (only the executor comparison is
-    # interesting), pool sized for overlapping waits rather than cores.
-    io_workers = max_workers or 8
-    campaign_io = bench_campaign(
-        device_count, image_size, max_workers=io_workers,
-        host_rtt_seconds=io_rtt_seconds, include_reference=False,
-        process_workers=io_workers)
-    for key in ("crypto_stats", "server_stats", "metrics"):
-        campaign_io.pop(key, None)
+    campaign = bench_campaign(device_count, image_size)
     results = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "host": {
             "python": sys.version.split()[0],
             "cpu_count": os.cpu_count(),
         },
-        "calibration": calibrate().to_dict(),
         "sha256": bench_sha256(),
         "ecdsa_verify": bench_verify(),
         "delta_generation": bench_delta(),
@@ -611,7 +537,6 @@ def run_all(device_count: int = 50, image_size: int = 24 * 1024,
         "server_stats": campaign.pop("server_stats"),
         "metrics": campaign.pop("metrics"),
         "campaign": campaign,
-        "campaign_io": campaign_io,
         "fleet_scale": bench_fleet_scale(
             scale_devices or max(device_count, 10_000), image_size),
     }
@@ -642,15 +567,13 @@ def write_delta_results(results: Dict[str, object], path: str) -> str:
 
 
 #: Campaign wall-clock metrics the ``--baseline`` gate compares — one
-#: per engine/executor configuration, so a regression in any one of
-#: the three paths (reference, fast, fast+parallel) trips the gate.
-GATE_METRICS = ("reference_serial_seconds", "fast_serial_seconds",
-                "fast_parallel_seconds")
+#: per engine configuration, so a regression in either path
+#: (reference, fast) trips the gate.
+GATE_METRICS = ("reference_serial_seconds", "fast_serial_seconds")
 
-#: I/O-profile wall-clock metrics, gated only when both artifacts carry
-#: a ``campaign_io`` section (older baselines predate it).
-IO_GATE_METRICS = ("fast_serial_seconds", "fast_parallel_seconds",
-                   "fast_process_seconds")
+#: The first bench schema whose campaign section has only the serial
+#: configurations; an older campaign baseline must be regenerated.
+SERIAL_CAMPAIGN_SCHEMA = 7
 
 #: Delta-generation wall-clock metrics, gated only when both artifacts
 #: carry a ``delta_generation`` section.
@@ -696,8 +619,8 @@ def compare_to_baseline(results: Dict[str, object],
     Returns human-readable problems (empty = no regression): any
     :data:`GATE_METRICS` entry more than ``tolerance`` slower than the
     baseline, a baseline from a different workload (device count or
-    image size), or a baseline missing the gated metrics entirely.
-    Getting *faster* never trips the gate.
+    image size) or an older campaign schema, or a baseline missing the
+    gated metrics entirely.  Getting *faster* never trips the gate.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
@@ -715,31 +638,19 @@ def compare_to_baseline(results: Dict[str, object],
             _gate_server(problems, cur_server, base_server, tolerance)
             return problems
         return ["baseline or current results carry no campaign section"]
+    version = baseline.get("schema_version", baseline.get("schema"))
+    if isinstance(version, int) and version < SERIAL_CAMPAIGN_SCHEMA:
+        return ["baseline is bench schema v%d, whose campaign section "
+                "predates the serial-only configurations (v%d) — "
+                "regenerate the baseline with this tree"
+                % (version, SERIAL_CAMPAIGN_SCHEMA)]
     for key in ("devices", "image_bytes"):
         if current.get(key) != base.get(key):
             return ["baseline ran %s=%r but this run used %r — "
                     "regenerate the baseline for this workload"
                     % (key, base.get(key), current.get(key))]
     _gate_section(problems, current, base, GATE_METRICS, tolerance)
-    # fast_process landed after the original gate; gate it only when the
-    # baseline already has it, so old baselines keep working.
-    if isinstance(base.get("fast_process_seconds"), (int, float)):
-        _gate_section(problems, current, base, ("fast_process_seconds",),
-                      tolerance)
     # Optional sections — gated only when both artifacts carry them.
-    cur_io = results.get("campaign_io")
-    base_io = baseline.get("campaign_io")
-    if isinstance(cur_io, dict) and isinstance(base_io, dict):
-        for key in ("devices", "image_bytes", "host_rtt_seconds"):
-            if cur_io.get(key) != base_io.get(key):
-                problems.append(
-                    "campaign_io baseline ran %s=%r but this run used %r — "
-                    "regenerate the baseline for this workload"
-                    % (key, base_io.get(key), cur_io.get(key)))
-                break
-        else:
-            _gate_section(problems, cur_io, base_io, IO_GATE_METRICS,
-                          tolerance, prefix="campaign_io ")
     cur_delta = results.get("delta_generation")
     base_delta = baseline.get("delta_generation")
     if isinstance(cur_delta, dict) and isinstance(base_delta, dict):
@@ -901,37 +812,23 @@ def format_summary(results: Dict[str, object]) -> str:
            results["delta_generation"]["total_seconds"],
            results["delta_generation"]["bsdiff_seconds"],
            results["delta_generation"]["lzss_seconds"]),
-        "campaign %3dd: %6.2f s serial/reference -> %5.2f s fast/parallel"
+        "campaign %3dd: %6.2f s reference -> %5.2f s fast"
         % (camp["devices"], camp["reference_serial_seconds"],
-           camp["fast_parallel_seconds"]),
+           camp["fast_serial_seconds"]),
         "               %6.2f -> %6.2f devices/s  (%sx end-to-end)"
         % (camp["reference_serial_devices_per_s"],
-           camp["fast_parallel_devices_per_s"], camp["speedup"]),
+           camp["fast_serial_devices_per_s"], camp["speedup"]),
     ]
-    if isinstance(camp.get("fast_process_seconds"), (int, float)):
-        lines.append(
-            "               cpu profile: serial %.2f s, threads %.2f s, "
-            "processes %.2f s"
-            % (camp["fast_serial_seconds"], camp["fast_parallel_seconds"],
-               camp["fast_process_seconds"]))
-    camp_io = results.get("campaign_io")
-    if isinstance(camp_io, dict):
-        lines.append(
-            "campaign io  : rtt %.0f ms — serial %.2f s, threads %.2f s "
-            "(%sx), processes %.2f s (%sx)"
-            % (1000.0 * camp_io.get("host_rtt_seconds", 0.0),
-               camp_io["fast_serial_seconds"],
-               camp_io["fast_parallel_seconds"], camp_io["thread_speedup"],
-               camp_io["fast_process_seconds"], camp_io["process_speedup"]))
     scale = results.get("fleet_scale")
     if isinstance(scale, dict):
         lines.append(
             "fleet scale  : %d devices in %.2f s (%.0f devices/s, "
-            "%d hydrations, %d B/row vs %d B pickled, rss %.1f MB)"
+            "%d hydrations, %d B/row vs %d B/hydrated device, "
+            "rss %.1f MB)"
             % (scale["devices"], scale["scale_seconds"],
                scale["devices_per_s"], scale["hydrations"],
                scale["columnar_bytes_per_row"],
-               scale["pickle_bytes_per_record"],
+               scale["hydrated_bytes_per_device"],
                scale["peak_rss_kb"] / 1024.0))
     return "\n".join(lines)
 

@@ -36,7 +36,7 @@ __all__ = [
 #: Current schema version per report kind.  Bump a kind's version when
 #: its document shape changes; teach :func:`validate_data` about the
 #: old shape so existing artifacts keep loading.
-SCHEMA_VERSIONS: Dict[str, int] = {"bench": 6, "chaos": 4, "trace": 2,
+SCHEMA_VERSIONS: Dict[str, int] = {"bench": 7, "chaos": 4, "trace": 2,
                                    "fleetview": 1, "delta": 1}
 
 #: Keys every bench-v5+ ``server`` section (the swarm bench artifact,
@@ -145,7 +145,8 @@ def validate_data(kind: str, version: int,
                 errors += _require(data, ["crypto_stats",
                                           "server_stats", "metrics"],
                                    kind)
-            if version >= 3:
+            if 3 <= version < 7:
+                # v3-v6 compared pooled executors; v7 dropped them.
                 errors += _require(data, ["campaign_io",
                                           "calibration"], kind)
                 campaign_io = data.get("campaign_io")
@@ -158,11 +159,14 @@ def validate_data(kind: str, version: int,
                 errors += _require(data, ["fleet_scale"], kind)
                 fleet_scale = data.get("fleet_scale")
                 if isinstance(fleet_scale, dict):
+                    per_device = ("hydrated_bytes_per_device"
+                                  if version >= 7
+                                  else "pickle_bytes_per_record")
                     errors += ["bench fleet_scale missing key %r" % key
                                for key in ("devices", "devices_per_s",
                                            "peak_rss_kb",
                                            "columnar_bytes_per_row",
-                                           "pickle_bytes_per_record")
+                                           per_device)
                                if key not in fleet_scale]
                     if fleet_scale.get("sampled_parity") is not True:
                         errors.append("bench fleet_scale sampled "

@@ -22,7 +22,7 @@ from repro.workload import FirmwareGenerator
 #: Peak RSS one test may add to the test process, fixture setup
 #: included.  Tier-1 has to finish on a 2-core / 8 GiB host, so a test
 #: that needs more is a defect (a fleet-sized hydrated twin, say), not a
-#: workload.  Memory of process-pool workers is not counted.
+#: workload.  Memory of child processes is not counted.
 RSS_BUDGET_MIB = 2048
 
 APP_ID = 0x55504B49

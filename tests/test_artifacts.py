@@ -8,8 +8,6 @@ may only ever change *when* work happens, never *what* is produced.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.compression import compress as lzss_compress
@@ -145,34 +143,6 @@ def test_disabled_cache_gives_byte_identical_campaign_reports():
     enabled = campaign_with(ArtifactCache())
     disabled = campaign_with(ArtifactCache(max_bytes=0))
     assert enabled == disabled
-
-
-# -- fleet plumbing -----------------------------------------------------------
-
-
-def test_export_and_merge_round_trip():
-    parent = ArtifactCache()
-    parent.put(b"k1", b"v1")
-    before = parent.snapshot_keys()
-
-    worker = pickle.loads(pickle.dumps(parent))
-    worker.put(b"k2", b"v2")
-    produced = worker.export_since(before)
-    assert produced == {b"k2": b"v2"}
-
-    assert parent.merge(produced) == 1
-    assert parent.get(b"k2") == b"v2"
-    # Re-merging the same entries adopts nothing new.
-    assert parent.merge(produced) == 0
-
-
-def test_pickle_round_trip_preserves_entries_and_bound():
-    cache = ArtifactCache(max_bytes=1234)
-    cache.put(b"k", b"v")
-    clone = pickle.loads(pickle.dumps(cache))
-    assert clone.max_bytes == 1234
-    assert clone.get(b"k") == b"v"
-    clone.put(b"k2", b"v2")  # the restored lock works
 
 
 def test_shared_cache_is_a_singleton():

@@ -605,42 +605,3 @@ def test_fast_engine_clear_caches_resets_content_cache():
     engine.clear_caches()
     assert len(engine.content_cache) == 0
     assert engine.content_cache.stats_snapshot().calls == 0
-
-
-def test_engine_counters_merge_exactly_across_executors():
-    """Thread- and process-pool campaigns account every verify.
-
-    The serial run is ground truth.  The thread pool shares one engine
-    (lock-guarded increments); the process pool runs forked engine
-    copies whose deltas fold back through ``merge_stats``.  Both must
-    land on exactly the serial ``verify_calls`` total — a lost update
-    in either path shows up as a shortfall here.
-    """
-    from repro.fleet import (
-        ParallelWaveExecutor,
-        ProcessWaveExecutor,
-        SerialWaveExecutor,
-    )
-    from repro.tools.bench import _build_campaign
-
-    totals = {}
-    executors = {
-        "serial": SerialWaveExecutor,
-        "threads": lambda: ParallelWaveExecutor(max_workers=4),
-        "processes": lambda: ProcessWaveExecutor(max_workers=2,
-                                                 min_fork_wave=2),
-    }
-    for label, make in executors.items():
-        executor = make()
-        campaign = _build_campaign(6, 4 * 1024, executor)
-        with use_engine("fast") as engine:
-            engine.clear_caches()
-            report = campaign.run()
-            stats = engine.stats_snapshot()
-        if hasattr(executor, "close"):
-            executor.close()
-        assert not report.aborted and len(report.updated) == 6
-        totals[label] = stats.verify_calls
-        assert stats.verify_cache_hits <= stats.verify_calls
-    assert totals["threads"] == totals["serial"]
-    assert totals["processes"] == totals["serial"]

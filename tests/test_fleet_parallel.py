@@ -1,18 +1,14 @@
-"""Parallel wave executor tests: same campaign, same report, any executor.
+"""Wave executor tests, plus the seeded campaign the artifact tests reuse.
 
-The parallel executor exists to make real wall-clock approach the
-within-wave-parallel model the report already claims — it must never
-change *what* the campaign computes.  These tests run bit-identical
-seeded fleets under the serial and the parallel executor and require
-identical ``CampaignReport`` contents, device states, and installed
-versions, in success, failure, and abort scenarios.
+:func:`build_campaign` builds a bit-identical seeded fleet (optionally
+with tampering devices and a custom policy); :func:`run_and_snapshot`
+runs it and captures the report, device states, attempts and installed
+versions for equality checks.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Set
-
-import pytest
 
 from repro.core import (
     DeviceProfile,
@@ -23,15 +19,10 @@ from repro.core import (
 )
 from repro.crypto import use_engine
 from repro.fleet import (
-    Calibration,
     Campaign,
     DeviceRecord,
-    ParallelWaveExecutor,
-    ProcessWaveExecutor,
     RolloutPolicy,
     SerialWaveExecutor,
-    calibrate,
-    select_executor,
 )
 from repro.memory import MemoryLayout
 from repro.net import ManifestTamperer
@@ -93,221 +84,6 @@ def run_and_snapshot(campaign: Campaign):
     )
 
 
-#: Pooled executor factories the parity suite runs against serial.
-#: Fresh instances per test — the process pool is closed after use.
-POOLED = [
-    pytest.param(lambda: ParallelWaveExecutor(max_workers=4),
-                 id="threads"),
-    pytest.param(lambda: ProcessWaveExecutor(max_workers=2),
-                 id="processes"),
-]
-
-
-def run_pooled(make_executor, **kwargs):
-    """Build + run a campaign on a pooled executor, then reap its pool."""
-    executor = make_executor()
-    try:
-        return run_and_snapshot(build_campaign(executor, **kwargs))
-    finally:
-        executor.close()
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-def test_parallel_report_identical_on_success(workers):
-    serial = run_and_snapshot(build_campaign(SerialWaveExecutor()))
-    parallel = run_and_snapshot(
-        build_campaign(ParallelWaveExecutor(max_workers=workers)))
-    assert serial == parallel
-    report = parallel[0]
-    assert not report["aborted"]
-    assert len(report["updated"]) == 8
-
-
-def test_process_report_identical_on_success():
-    serial = run_and_snapshot(build_campaign(SerialWaveExecutor()))
-    pooled = run_pooled(lambda: ProcessWaveExecutor(max_workers=2))
-    assert serial == pooled
-    assert len(pooled[0]["updated"]) == 8
-
-
-@pytest.mark.parametrize("make_executor", POOLED)
-def test_pooled_report_identical_with_failures(make_executor):
-    """A flaky non-canary device: retries and the failure list match."""
-    policy = RolloutPolicy(canary_fraction=0.25, abort_failure_rate=0.5,
-                           max_attempts=2)
-    serial = run_and_snapshot(
-        build_campaign(SerialWaveExecutor(), flaky={5}, policy=policy))
-    pooled = run_pooled(make_executor, flaky={5}, policy=policy)
-    assert serial == pooled
-    assert serial[0]["failed"] == ["dev-05"]
-
-
-@pytest.mark.parametrize("make_executor", POOLED)
-def test_pooled_report_identical_on_abort(make_executor):
-    """All canaries fail: both executors abort and skip the rest."""
-    policy = RolloutPolicy(canary_fraction=0.25, abort_failure_rate=0.5,
-                           max_attempts=1)
-    serial = run_and_snapshot(
-        build_campaign(SerialWaveExecutor(), flaky={0, 1},
-                       policy=policy))
-    pooled = run_pooled(make_executor, flaky={0, 1}, policy=policy)
-    assert serial == pooled
-    assert serial[0]["aborted"]
-    assert len(serial[0]["skipped"]) == 6
-
-
-def test_parallel_identical_under_both_engines():
-    """Executor parity holds on the reference engine too (small fleet)."""
-    with use_engine("reference"):
-        serial = build_campaign(SerialWaveExecutor(), count=3).run()
-        parallel = build_campaign(ParallelWaveExecutor(max_workers=3),
-                                  count=3).run()
-    assert serial.to_dict() == parallel.to_dict()
-
-
-def test_chunked_dispatch_covers_every_device():
-    """chunk_size smaller than the wave still updates everyone once."""
-    executor = ParallelWaveExecutor(max_workers=2, chunk_size=3)
-    snapshot = run_and_snapshot(build_campaign(executor, count=10))
-    report, _, attempts, versions = snapshot
-    assert len(report["updated"]) == 10
-    assert all(count == 1 for count in attempts.values())
-    assert all(version == 2 for version in versions.values())
-
-
-def test_process_chunked_dispatch_covers_every_device():
-    """One chunk per record still touches every device exactly once."""
-    executor = ProcessWaveExecutor(max_workers=2, chunk_size=2)
-    try:
-        report, _, attempts, versions = run_and_snapshot(
-            build_campaign(executor, count=6))
-    finally:
-        executor.close()
-    assert len(report["updated"]) == 6
-    assert all(count == 1 for count in attempts.values())
-    assert all(version == 2 for version in versions.values())
-
-
-def test_process_merges_server_state():
-    """Worker-side server activity lands back on the parent server."""
-    executor = ProcessWaveExecutor(max_workers=2)
-    campaign = build_campaign(executor, count=6)
-    try:
-        with use_engine("fast"):
-            campaign.run()
-    finally:
-        executor.close()
-    stats = campaign.server.stats
-    # Every device requested an update; half the fleet (the v1-aware
-    # pull devices) took deltas — worker counters merged, not lost.
-    assert stats.requests >= 6
-    assert stats.delta_updates > 0
-    # The delta generated inside a worker was adopted by the parent's
-    # version-pair cache and its content-addressed layer.
-    assert (1, 2) in campaign.server.delta_cache_keys()
-    assert len(campaign.server.artifacts) > 0
-
-
-def test_process_single_worker_runs_in_process():
-    """max_workers=1 degenerates to in-process serial execution."""
-    executor = ProcessWaveExecutor(max_workers=1)
-    serial = run_and_snapshot(build_campaign(SerialWaveExecutor()))
-    pooled = run_and_snapshot(build_campaign(executor))
-    executor.close()
-    assert executor._pool is None  # never spawned a pool
-    assert serial == pooled
-
-
-def test_executor_validation():
-    with pytest.raises(ValueError):
-        ParallelWaveExecutor(max_workers=0)
-    with pytest.raises(ValueError):
-        ParallelWaveExecutor(chunk_size=0)
-    with pytest.raises(ValueError):
-        ProcessWaveExecutor(max_workers=0)
-    with pytest.raises(ValueError):
-        ProcessWaveExecutor(chunk_size=0)
-
-
 def test_default_executor_is_serial():
     campaign = build_campaign(None)
     assert isinstance(campaign.executor, SerialWaveExecutor)
-
-
-def test_parallel_executor_defaults():
-    executor = ParallelWaveExecutor()
-    assert 1 <= executor.max_workers <= 16
-    assert executor.chunk_size == 4 * executor.max_workers
-
-
-def test_thread_pool_persists_across_waves():
-    """The regression fix: one pool serves every wave, then close()."""
-    executor = ParallelWaveExecutor(max_workers=2)
-    campaign = build_campaign(executor, count=8)
-    with use_engine("fast"):
-        campaign.run()
-    assert executor._pool is not None  # survived past the first wave
-    first_pool = executor._pool
-    with use_engine("fast"):
-        executor.run_wave(lambda record, target: None,
-                          campaign.fleet[:4], 2)
-    assert executor._pool is first_pool
-    executor.close()
-    assert executor._pool is None
-
-
-# -- calibration-driven selection --------------------------------------------
-
-
-def _calibration(cpu_count, pickle_seconds=1e-3, dispatch_seconds=1e-5):
-    return Calibration(dispatch_seconds=dispatch_seconds,
-                       pickle_seconds=pickle_seconds,
-                       cpu_count=cpu_count)
-
-
-def test_calibrate_measures_real_costs():
-    record = build_campaign(SerialWaveExecutor(), count=1).fleet[0]
-    calibration = calibrate(sample_record=record)
-    assert calibration.dispatch_seconds > 0.0
-    assert calibration.pickle_seconds > 0.0
-    assert calibration.cpu_count >= 1
-    assert set(calibration.to_dict()) == {
-        "dispatch_seconds", "pickle_seconds", "cpu_count"}
-
-
-def test_select_serial_for_tiny_waves():
-    chosen = select_executor(1, calibration=_calibration(8))
-    assert isinstance(chosen, SerialWaveExecutor)
-    chosen = select_executor(50, max_workers=1,
-                             calibration=_calibration(8))
-    assert isinstance(chosen, SerialWaveExecutor)
-
-
-def test_select_threads_for_io_dominated_waves():
-    """I/O waits release the GIL, so threads win even on one core."""
-    chosen = select_executor(50, io_fraction=0.9,
-                             calibration=_calibration(1))
-    assert isinstance(chosen, ParallelWaveExecutor)
-
-
-def test_select_serial_on_single_core_cpu_bound():
-    """The GIL finding: one core + CPU-bound work → serial wins."""
-    chosen = select_executor(50, io_fraction=0.0,
-                             per_device_seconds=10.0,
-                             calibration=_calibration(1))
-    assert isinstance(chosen, SerialWaveExecutor)
-
-
-def test_select_processes_for_multicore_cpu_bound():
-    chosen = select_executor(50, io_fraction=0.0,
-                             per_device_seconds=0.5,
-                             calibration=_calibration(8, 1e-3))
-    assert isinstance(chosen, ProcessWaveExecutor)
-    chosen.close()
-
-
-def test_select_serial_when_work_cannot_amortise_pickle():
-    chosen = select_executor(50, io_fraction=0.0,
-                             per_device_seconds=1e-4,
-                             calibration=_calibration(8, 1e-3))
-    assert isinstance(chosen, SerialWaveExecutor)

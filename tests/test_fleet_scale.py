@@ -4,13 +4,9 @@ The ``fleet_scale`` marker selects the columnar-campaign scale checks
 (``pytest -m fleet_scale``).  The tier-1 subset runs a 10,000-device
 campaign and asserts the two properties the architecture promises —
 hydrations stay at cohorts-per-wave (not fleet size) and resident
-memory grows by columnar rows (not hydrated pickles).  The full
+memory grows by columnar rows (not hydrated devices).  The full
 million-device acceptance run hides behind the ``perf`` marker with
 the other heavyweight benches.
-
-Alongside: regression tests for the calibration probe that vetoes the
-process pool on hosts where forking measurably loses (the
-``process_speedup: 0.62`` single-core inversion in BENCH_fleet.json).
 """
 
 from __future__ import annotations
@@ -21,13 +17,6 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.fleet import (
-    Calibration,
-    ProcessWaveExecutor,
-    SerialWaveExecutor,
-    calibrate,
-    select_executor,
-)
 from repro.fleet.columnar import ROW_DTYPE
 from repro.tools.bench import _build_scale_campaign, bench_fleet_scale
 
@@ -45,7 +34,7 @@ def test_ten_thousand_devices_bounded_memory():
 
     ``ru_maxrss`` is a process-lifetime high-water mark, so the bound
     is on its *growth* across the campaign: the hydrated path would
-    materialise 10k × ~33 KB ≈ 330 MB of device records, the columnar
+    materialise 10k × ~38 KB ≈ 380 MB of device records, the columnar
     path allocates 10k × ~86 B ≈ 860 KB of rows plus a few hydrated
     representatives.  200 MB of headroom keeps the assertion meaningful
     without being flaky.
@@ -87,9 +76,9 @@ def test_million_device_campaign_acceptance():
     assert summary["hydrations"] == 4
     assert summary["devices_per_s"] > 10_000
     # 1M rows ≈ 86 MB; anything in the low hundreds of MB is columnar,
-    # 33 GB would be the hydrated path.
+    # ~38 GB would be the hydrated path.
     assert summary["peak_rss_kb"] < 2 * 1024 * 1024
-    assert summary["pickle_bytes_per_record"] \
+    assert summary["hydrated_bytes_per_device"] \
         > 100 * summary["columnar_bytes_per_row"]
 
 
@@ -264,66 +253,3 @@ def test_ten_thousand_devices_under_domain_outage():
     entry = report.device_entry(1_234)
     assert entry["state"] == "updated"
     assert entry["interruptions"] > 0
-
-
-# -- executor probe regression (the 1-core process_speedup inversion) ---------
-
-
-def _calibration(cpu_count, process_speedup=None):
-    return Calibration(dispatch_seconds=1e-5, pickle_seconds=1e-3,
-                       cpu_count=cpu_count,
-                       process_speedup=process_speedup)
-
-
-def test_single_core_never_selects_process_pool():
-    """cpu_count == 1 vetoes the process pool outright, whatever the
-    per-device arithmetic promises."""
-    chosen = select_executor(500, io_fraction=0.0,
-                             per_device_seconds=10.0,
-                             calibration=_calibration(1))
-    assert isinstance(chosen, SerialWaveExecutor)
-
-
-def test_measured_sub_1x_speedup_vetoes_process_pool():
-    """The regression: a multi-core calibration whose probe *measured*
-    forking losing (speedup < 1.0) must not pick ProcessWaveExecutor —
-    the BENCH artifact's process_speedup: 0.62 inversion."""
-    chosen = select_executor(500, io_fraction=0.0,
-                             per_device_seconds=10.0,
-                             calibration=_calibration(8,
-                                                      process_speedup=0.62))
-    assert isinstance(chosen, SerialWaveExecutor)
-
-
-def test_measured_speedup_above_1x_allows_process_pool():
-    chosen = select_executor(500, io_fraction=0.0,
-                             per_device_seconds=10.0,
-                             calibration=_calibration(8,
-                                                      process_speedup=1.9))
-    assert isinstance(chosen, ProcessWaveExecutor)
-    chosen.close()
-
-
-def test_probe_measures_a_real_speedup_ratio():
-    calibration = calibrate(probe_processes=True)
-    assert calibration.process_speedup is not None
-    assert calibration.process_speedup >= 0.0
-    # The probed ratio rides into the bench artifact.
-    assert "process_speedup" in calibration.to_dict()
-    # Un-probed calibrations keep the original 3-key dict shape.
-    assert "process_speedup" not in calibrate().to_dict()
-
-
-def test_selection_with_probed_calibration_on_this_host():
-    """End to end on the actual host: whatever the probe measures, the
-    chosen executor must be consistent with it."""
-    calibration = calibrate(probe_processes=True)
-    chosen = select_executor(500, io_fraction=0.0,
-                             per_device_seconds=10.0,
-                             calibration=calibration)
-    if calibration.cpu_count <= 1 or calibration.process_speedup < 1.0:
-        assert isinstance(chosen, SerialWaveExecutor)
-    else:
-        assert isinstance(chosen, ProcessWaveExecutor)
-    if hasattr(chosen, "close"):
-        chosen.close()

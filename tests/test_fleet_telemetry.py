@@ -19,13 +19,15 @@ from repro.fleet import (
     Campaign,
     DeviceRecord,
     DeviceState,
-    ParallelWaveExecutor,
     RetryPolicy,
     RolloutPolicy,
+    SerialWaveExecutor,
 )
+from repro.fleet import campaign as campaign_module
 from repro.memory import MemoryLayout
 from repro.net import Link, Outage, TransportRetryPolicy
 from repro.net.link import COAP_6LOWPAN
+from repro.obs import MetricsRegistry
 from repro.obs.slo import SLO, Action, FleetTelemetry
 from repro.platform import NRF52840, ZEPHYR
 from repro.sim import SimulatedDevice
@@ -100,20 +102,35 @@ def test_breach_free_telemetry_is_invisible_to_the_report():
     assert telemetry.store.total_points() > 0
 
 
-def test_serial_and_parallel_scrapes_build_identical_stores():
-    server_a, fleet_a = build_fleet(6)
-    server_b, fleet_b = build_fleet(6)
-    serial_tel = FleetTelemetry()
-    Campaign(server_a, fleet_a,
-             RolloutPolicy(canary_fraction=0.2),
-             telemetry=serial_tel).run()
-    parallel_tel = FleetTelemetry()
-    Campaign(server_b, fleet_b,
-             RolloutPolicy(canary_fraction=0.2),
-             executor=ParallelWaveExecutor(max_workers=4),
-             telemetry=parallel_tel).run()
-    assert serial_tel.store.to_dict() == parallel_tel.store.to_dict()
-    assert serial_tel.to_dict() == parallel_tel.to_dict()
+def test_scrape_fires_once_per_device_right_after_its_update(monkeypatch):
+    """The scrape hook's contract (the rollout benchmark times each
+    device by the gap between scrapes): one call per device, in wave
+    order, straight after that device's update finished, and the
+    executor counts every device it drove."""
+    server, fleet = build_fleet(6)
+    events = []
+    drive = campaign_module.drive_attempt
+
+    def traced_drive(server, record, target, transport_retry=None):
+        events.append(("update", record.name))
+        return drive(server, record, target, transport_retry)
+
+    monkeypatch.setattr(campaign_module, "drive_attempt", traced_drive)
+    registry = MetricsRegistry()
+    executor = SerialWaveExecutor(metrics=registry)
+    executor.scrape = lambda record: events.append(
+        ("scrape", record.name, record.state))
+    report = Campaign(server, fleet, RolloutPolicy(canary_fraction=0.2),
+                      executor=executor).run()
+    assert len(report.updated) == 6
+    in_wave_order = [name for wave in report.waves for name in wave]
+    assert len(report.waves) == 2
+    expected = []
+    for name in in_wave_order:
+        expected += [("update", name),
+                     ("scrape", name, DeviceState.UPDATED)]
+    assert events == expected
+    assert registry.snapshot()["executor.devices_driven"] == len(fleet)
 
 
 # -- SLO-driven rollout control ----------------------------------------------

@@ -161,6 +161,28 @@ def test_validate_bench_v4_checks_fleet_scale_shape():
     assert report.validate_data("bench", 4, data) == []
 
 
+def test_validate_bench_v7_drops_the_pool_sections():
+    """v7 no longer requires campaign_io/calibration, and fleet_scale
+    reports live hydrated bytes per device instead of a pickle size."""
+    data = {
+        "sha256": {}, "ecdsa_verify": {}, "delta_generation": {},
+        "campaign": {"reports_identical": True},
+        "crypto_stats": {}, "server_stats": {}, "metrics": {},
+        "fleet_scale": {"devices": 10_000, "devices_per_s": 5000.0,
+                        "peak_rss_kb": 250_000,
+                        "columnar_bytes_per_row": 86,
+                        "pickle_bytes_per_record": 33_538,
+                        "sampled_parity": True},
+    }
+    assert ("bench fleet_scale missing key 'hydrated_bytes_per_device'"
+            in report.validate_data("bench", 7, data))
+    assert "bench report missing key 'campaign_io'" \
+        in report.validate_data("bench", 6, data)
+    del data["fleet_scale"]["pickle_bytes_per_record"]
+    data["fleet_scale"]["hydrated_bytes_per_device"] = 42_088
+    assert report.validate_data("bench", 7, data) == []
+
+
 @pytest.mark.trace
 def test_trace_pull_transport_nests_too(tmp_path):
     """Heavier opt-in run: the pull transport on a larger image."""

@@ -4,7 +4,7 @@ The full benchmarks (``benchmarks/``, ``perf`` marker) are excluded
 from tier-1 because they chase wall-clock numbers.  This module runs
 the same code paths at a bounded size and checks only *correctness*
 invariants — byte-identical fast-path output, identical campaign
-reports across executors — so a fast-path regression that breaks
+reports across crypto engines — so a fast-path regression that breaks
 equivalence fails CI immediately rather than at the next manual bench
 run.  The ``perf_smoke`` marker selects just these tests
 (``pytest -m perf_smoke``); unlike ``perf`` it is *not* excluded by
@@ -32,11 +32,9 @@ def test_delta_fastpath_is_byte_identical_at_smoke_size():
 
 
 def test_campaign_configurations_report_identically_at_smoke_size():
-    result = bench.bench_campaign(device_count=4, image_size=4 * 1024,
-                                  max_workers=2, include_reference=False,
-                                  process_workers=2)
+    result = bench.bench_campaign(device_count=4, image_size=4 * 1024)
     assert result["reports_identical"] is True
-    for label in ("fast_serial", "fast_parallel", "fast_process"):
+    for label in ("reference_serial", "fast_serial"):
         assert result["%s_seconds" % label] > 0.0
 
 

@@ -19,7 +19,7 @@ import pytest
 from repro.tools import swarm
 from repro.tools.bench import compare_to_baseline
 from repro.tools.cli import main
-from repro.tools.report import load_report, validate_data
+from repro.tools.report import SCHEMA_VERSIONS, load_report, validate_data
 
 SESSIONS = 150
 
@@ -57,7 +57,7 @@ def test_artifact_round_trips_through_validate(bench_doc, tmp_path):
     path = str(tmp_path / "BENCH_server.json")
     swarm.write_results(copy.deepcopy(bench_doc), path)
     kind, version, data = load_report(path)
-    assert (kind, version) == ("bench", 6)
+    assert (kind, version) == ("bench", SCHEMA_VERSIONS["bench"])
     assert validate_data(kind, version, data) == []
     assert main(["report", "--validate", path]) == 0
 
