@@ -39,6 +39,10 @@ __all__ = ["McumgrAgent"]
 class McumgrAgent:
     """Store-and-forward agent: no signature, token or digest checks."""
 
+    #: No receive pipeline, so the device bills no pipeline CPU.
+    pipeline_bytes = 0
+    pipeline_manifest = None
+
     def __init__(self, profile: DeviceProfile, layout: MemoryLayout) -> None:
         self.profile = profile
         self.layout = layout
@@ -85,6 +89,15 @@ class McumgrAgent:
         self.state = AgentState.RECEIVE_MANIFEST
         return DeviceToken(device_id=self.profile.device_id, nonce=0,
                            current_version=0)
+
+    def bytes_until_transition(self) -> int:
+        """Bytes :meth:`feed` takes before anything but buffering
+        happens (see :meth:`repro.core.UpdateAgent.bytes_until_transition`):
+        the rest of the header; 0 once the payload streams, since every
+        payload frame is its own flash write."""
+        if self.state is AgentState.RECEIVE_MANIFEST:
+            return ENVELOPE_SIZE - len(self._buf)
+        return 0
 
     def feed(self, data: bytes) -> FeedStatus:
         if self.state is AgentState.RECEIVE_MANIFEST:

@@ -156,6 +156,11 @@ class UpdateAgent:
         self._pipeline: Optional[Pipeline] = None
         self._slot_file = None
         self._payload_received = 0
+        #: Wire bytes handed to receive pipelines over the agent's life,
+        #: and the manifest of the latest pipeline (kept past cleaning):
+        #: the simulated device bills pipeline CPU from the two.
+        self.pipeline_bytes = 0
+        self.pipeline_manifest: Optional[Manifest] = None
         self._booted_slot: Optional[Slot] = None
         self._booted_version = 0
 
@@ -256,6 +261,22 @@ class UpdateAgent:
             self._clean()
             raise
 
+    def bytes_until_transition(self) -> int:
+        """Bytes :meth:`feed` takes before the FSM next changes state.
+
+        What is missing of the envelope while receiving the manifest,
+        of the declared payload while receiving firmware, and 0 in any
+        other state (where every byte is an error).  Frames fed up to
+        this point only fill buffers; the frame that reaches it runs
+        the checks, so a transport batches frames no further.
+        """
+        if self.state is AgentState.RECEIVE_MANIFEST:
+            return ENVELOPE_SIZE - len(self._manifest_buf)
+        if self.state is AgentState.RECEIVE_FIRMWARE:
+            return (self._pending_manifest.payload_size
+                    - self._payload_received)
+        return 0
+
     def _feed(self, data: bytes) -> FeedStatus:
         if self.state is AgentState.RECEIVE_MANIFEST:
             self._manifest_buf.extend(data)
@@ -326,6 +347,7 @@ class UpdateAgent:
             buffer_size=self.pipeline_buffer_size,
         )
         self._pipeline.tracer = self.tracer
+        self.pipeline_manifest = manifest
         self.state = AgentState.RECEIVE_FIRMWARE
         self.events.emit("agent", EventKind.MANIFEST_VERIFIED,
                          version=manifest.version,
@@ -340,6 +362,7 @@ class UpdateAgent:
                 "payload exceeded declared size of %d bytes"
                 % manifest.payload_size)
         self._payload_received += len(data)
+        self.pipeline_bytes += len(data)
         self._pipeline.feed(data)
         if self._payload_received < manifest.payload_size:
             return FeedStatus.NEED_MORE

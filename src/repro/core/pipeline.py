@@ -12,7 +12,8 @@ extra slot to stage the patch.  Stages, in order:
 4. **Buffer** — accumulate to the flash sector size ("matching the
    buffer size with the flash sector size results in faster writes and
    fewer flash erasures").
-5. **Writer** — pushes buffered data to the slot handle.
+5. **Writer** — pushes buffered data to the slot handle, one buffer
+   per write.
 
 For full-image payloads only buffer + writer are active; the pipeline
 factory wires stages from the manifest's payload kind.
@@ -165,6 +166,12 @@ class Pipeline:
         #: The owning agent's tracer (stage-level spans); the shared
         #: null tracer keeps the hot path free when tracing is off.
         self.tracer = NULL_TRACER
+        #: The sink takes at most one buffer per call, as a device's
+        #: sector buffer holds one sector: a feed that fills several
+        #: buffers is several flash writes, however it was chunked.
+        last = stages[-1] if stages else None
+        self._block = (last.buffer_size if isinstance(last, BufferStage)
+                       else None)
 
     @property
     def stage_names(self) -> List[str]:
@@ -209,14 +216,17 @@ class Pipeline:
         return self.bytes_out
 
     def _write(self, data: bytes) -> int:
-        with self.tracer.span("flash.write", category="pipeline",
-                              nbytes=len(data)):
-            written = self._sink(data)
-        if written != len(data):
-            raise PipelineError(
-                "sink accepted %d of %d bytes" % (written, len(data)))
-        self.bytes_out += len(data)
-        return written
+        block = self._block or len(data)
+        for start in range(0, len(data), block):
+            piece = data[start:start + block]
+            with self.tracer.span("flash.write", category="pipeline",
+                                  nbytes=len(piece)):
+                written = self._sink(piece)
+            if written != len(piece):
+                raise PipelineError(
+                    "sink accepted %d of %d bytes" % (written, len(piece)))
+            self.bytes_out += len(piece)
+        return len(data)
 
 
 def build_pipeline(

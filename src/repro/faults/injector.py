@@ -9,16 +9,17 @@ Each fault kind lands in the layer it belongs to:
 * link outages, loss bursts and slowdowns become the
   :class:`~repro.net.link.Link` fault schedule (build the link via
   :meth:`FaultInjector.make_link`);
-* reboot points wrap the device's ``feed`` so the agent loses power —
-  :class:`DeviceRebooted` propagates out of the transport, RAM state is
-  gone, flash state stays exactly as written;
+* reboot points become the device's fed-byte reboot marks
+  (:meth:`~repro.sim.SimulatedDevice.add_reboot_mark`), so the agent
+  loses power — :class:`DeviceRebooted` propagates out of the
+  transport, RAM state is gone, flash state stays exactly as written;
 * server outage points wrap ``server.prepare_update`` to raise
   :class:`~repro.core.ServerUnavailable` for a window of requests;
 * bit-rot points corrupt stored slot bytes *after* the transfer but
   before the decisive boot (:meth:`FaultInjector.apply_pre_boot`).
 
-The wrappers are instance-level monkey-patches on the testbed's own
-objects: a fresh testbed per point (the chaos runner's protocol) means
+Server outages are an instance-level wrapper on the testbed's own
+server: a fresh testbed per point (the chaos runner's protocol) means
 nothing leaks between points.
 """
 
@@ -29,6 +30,7 @@ from typing import List
 from ..core import ServerUnavailable
 from ..net.link import COAP_6LOWPAN, Link, LinkProfile, LossBurst, \
     Outage, Slowdown
+from ..sim.device import DeviceRebooted
 from .plan import FaultKind, FaultPlan, FaultPoint
 
 __all__ = ["DeviceRebooted", "FaultInjector", "BURST_LOSS_RATE"]
@@ -44,17 +46,6 @@ _DURING = {
     FaultKind.POWER_LOSS_ERASE: "erase",
     FaultKind.POWER_LOSS_ANY: "any",
 }
-
-
-class DeviceRebooted(Exception):
-    """Injected fault: the device power-cycled mid-transfer.
-
-    Deliberately *not* an :class:`~repro.core.errors.UpdateError`: the
-    transports must not swallow it as a failed update — it propagates
-    out of ``run_update`` to the chaos runner, which models the power
-    cycle (RAM lost via ``agent.power_cycle()``, flash kept) and the
-    subsequent reboot.
-    """
 
 
 class FaultInjector:
@@ -161,25 +152,10 @@ class FaultInjector:
             flash.inject_power_loss(point.at, during=_DURING[point.kind])
 
     def _arm_reboots(self, bed) -> None:
-        points = self.plan.of_kind(FaultKind.REBOOT)
-        if not points:
-            return
+        # ``at`` counts bytes fed from arming on.
         device = bed.device
-        pending = sorted(point.at for point in points)
-        state = {"fed": 0}
-        original = device.feed
-
-        def feed(chunk):
-            status = original(chunk)
-            state["fed"] += len(chunk)
-            if pending and state["fed"] >= pending[0]:
-                pending.pop(0)
-                raise DeviceRebooted(
-                    "device power-cycled after %d bytes fed"
-                    % state["fed"])
-            return status
-
-        device.feed = feed
+        for point in self.plan.of_kind(FaultKind.REBOOT):
+            device.add_reboot_mark(device.fed_bytes + point.at)
 
     def _arm_server_outages(self, bed) -> None:
         points = self.plan.of_kind(FaultKind.SERVER_OUTAGE)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 __all__ = ["LinkProfile", "Link", "TransferReport", "Outage", "LossBurst",
            "Slowdown", "LinkDownError", "BLE_GATT", "COAP_6LOWPAN",
@@ -214,8 +214,36 @@ class Link:
                 "%s link down (%d cumulative bytes delivered)"
                 % (self.profile.name, self.total_bytes))
 
+    def next_threshold(self) -> Optional[int]:
+        """Cumulative byte count where the fault schedule next changes;
+        a run of frames must not start a frame at or past it.
+
+        The nearest :class:`Outage` ``at_byte``, :class:`LossBurst`
+        start or end, or :class:`Slowdown` ``at_byte`` beyond
+        :attr:`total_bytes`; ``None`` when nothing more is scheduled.
+        While an outage is active or due this is :attr:`total_bytes`
+        itself: the next transfer fails whatever its size.
+        """
+        total = self.total_bytes
+        if self._down_for or (self._outages
+                              and self._outages[0].at_byte <= total):
+            return total
+        points = [outage.at_byte for outage in self._outages[:1]]
+        points += [edge for burst in self._bursts
+                   for edge in (burst.start_byte, burst.end_byte)]
+        points += [slowdown.at_byte for slowdown in self._slowdowns]
+        later = [point for point in points if point > total]
+        return min(later) if later else None
+
     def transfer(self, nbytes: int) -> TransferReport:
-        """Model delivering ``nbytes`` of payload; returns the cost.
+        """Model delivering ``nbytes`` of payload, one MTU frame or a
+        run of many, as ``ceil(nbytes / mtu)`` packets with one loss
+        draw each, in order; returns the cost.
+
+        A run costs exactly what its frames cost as one-frame transfers
+        as long as every frame starts before :meth:`next_threshold`: the
+        schedule (outage, loss rate, slowdown factor) is read once, at
+        the start.
 
         Raises :class:`LinkDownError` — delivering nothing and charging
         nothing — while an :class:`Outage` is active.

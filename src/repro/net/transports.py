@@ -199,28 +199,56 @@ class _TransportBase:
 
     def _stream_to_device(self, data: bytes,
                           label: str = "payload") -> FeedStatus:
-        """Send ``data`` chunk-by-chunk; agent errors propagate.
+        """Send ``data`` in runs of MTU frames; agent errors propagate.
 
-        A link outage mid-stream is resumed from the last verified
-        offset: the failed chunk is simply re-requested after backoff —
-        the agent FSM keeps its state, nothing already fed is re-sent.
+        A run is a block of consecutive whole frames that costs exactly
+        what its frames would cost one by one (see :meth:`_run_bytes`),
+        so it goes out as one link transfer and one device feed.  A
+        link outage mid-stream is resumed from the last verified
+        offset: the failed run — always a single frame, as the link
+        reports a due outage as its next threshold — is re-requested
+        after backoff, and the next run is planned once it got through.
+        The agent FSM keeps its state, nothing already fed is re-sent.
         """
         status = FeedStatus.NEED_MORE
-        mtu = self.link.profile.mtu
         offset = 0
         with self.tracer.span("transfer.%s" % label,
                               category="propagation", nbytes=len(data)):
             while offset < len(data):
-                chunk = data[offset:offset + mtu]
+                nbytes = self._run_bytes(len(data) - offset)
                 with self.tracer.span("block", category="transfer",
-                                      offset=offset, nbytes=len(chunk)):
-                    report = self._transfer(len(chunk))
+                                      offset=offset, nbytes=nbytes):
+                    report = self._transfer(nbytes)
                     self.device.account_radio(report.seconds,
                                               self.direction_payload)
-                    self.bytes_over_air += len(chunk)
-                    status = self.device.feed(chunk)
-                offset += len(chunk)
+                    self.bytes_over_air += nbytes
+                    status = self.device.feed(data[offset:offset + nbytes])
+                offset += nbytes
         return status
+
+    def _run_bytes(self, remaining: int) -> int:
+        """Length of the next run: whole frames up to the nearest cut.
+
+        Frames stay the unit of cost, so a run may only span frames that
+        nothing observes one at a time.  It ends before the frame that
+        starts at or past the link's next schedule threshold, before
+        the frame that reaches the agent's next FSM transition (that
+        frame goes alone), and with the frame that crosses the device's
+        next reboot mark.  An interceptor, an enabled
+        tracer (one ``block`` span per frame) or an armed flash
+        power-loss countdown make every run one frame.
+        """
+        mtu = self.link.profile.mtu
+        if self.interceptor is not None or self.tracer.enabled:
+            return min(mtu, remaining)
+        budget = self.device.run_budget(mtu)
+        threshold = self.link.next_threshold() if budget >= mtu else None
+        if threshold is not None:
+            frames = -(-(threshold - self.link.total_bytes) // mtu)
+            budget = min(budget, frames * mtu)
+        if remaining <= budget:
+            return remaining
+        return min(remaining, max(mtu, budget - budget % mtu))
 
     def _finish(self, start_clock: float, error: Optional[UpdateError],
                 completed: bool) -> UpdateOutcome:

@@ -17,7 +17,7 @@ Phase attribution follows Fig. 8a's breakdown:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from ..core import (
     Bootloader,
@@ -36,7 +36,20 @@ from ..platform import BoardProfile, OSProfile
 from .clock import VirtualClock
 from .energy import EnergyMeter
 
-__all__ = ["PipelineCpuModel", "SimulatedDevice"]
+__all__ = ["DeviceRebooted", "PipelineCpuModel", "SimulatedDevice"]
+
+
+class DeviceRebooted(Exception):
+    """Injected fault: the device power-cycled mid-transfer.
+
+    Raised by :meth:`SimulatedDevice.feed` once the fed bytes cross a
+    reboot mark (:meth:`SimulatedDevice.add_reboot_mark`).
+    Deliberately *not* an :class:`~repro.core.errors.UpdateError`: the
+    transports must not swallow it as a failed update — it propagates
+    out of ``run_update`` to the chaos runner, which models the power
+    cycle (RAM lost via ``agent.power_cycle()``, flash kept) and the
+    subsequent reboot.
+    """
 
 
 @dataclass(frozen=True)
@@ -96,6 +109,10 @@ class SimulatedDevice:
         self.clock = VirtualClock()
         self.meter = EnergyMeter(supply_volts=board.supply_volts)
         self.reboots = 0
+        #: Bytes the agent accepted through :meth:`feed` (a feed that
+        #: raised counts nothing): the axis reboot marks sit on.
+        self.fed_bytes = 0
+        self._reboot_marks: List[int] = []
         #: During propagation the radio (kB/s) is orders of magnitude
         #: slower than the flash controller (~100 kB/s writes), so flash
         #: work hides behind packet arrivals on real devices: it costs
@@ -145,29 +162,70 @@ class SimulatedDevice:
         self._drain_crypto("verification")
         return token
 
-    def feed(self, chunk: bytes) -> FeedStatus:
-        """Deliver one wire chunk to the agent, metering its side effects.
+    def feed(self, data: bytes) -> FeedStatus:
+        """Deliver one run of wire frames to the agent, metering its
+        side effects.
 
         Costs are drained in a ``finally`` block: a rejected update still
-        paid for the flash writes and the failed signature check.
+        paid for the flash writes and the failed signature check.  Only
+        the bytes the agent passed on to its receive pipeline are billed
+        as pipeline CPU; envelope bytes are not.  Raises
+        :class:`DeviceRebooted` after the feed that crosses a reboot
+        mark.
         """
-        pending = getattr(self.agent, "_pending_manifest", None)
+        agent = self.agent
+        piped = agent.pipeline_bytes
         try:
-            status = self.agent.feed(chunk)
+            status = agent.feed(data)
         finally:
             self._drain_flash("propagation")
             self._drain_crypto("verification")
-            manifest = (getattr(self.agent, "_pending_manifest", None)
-                        or pending)
-            if manifest is not None and manifest.is_delta:
-                cpu_seconds = len(chunk) / self.cpu.lzss_bytes_per_second
-                cpu_seconds += len(chunk) / self.cpu.bspatch_bytes_per_second
-                self._spend_cpu(cpu_seconds, "propagation")
-            if manifest is not None and manifest.is_encrypted:
-                self._spend_cpu(
-                    len(chunk) / self.cpu.decrypt_bytes_per_second,
-                    "propagation")
+            piped = agent.pipeline_bytes - piped
+            if piped:
+                manifest = agent.pipeline_manifest
+                if manifest.is_delta:
+                    self._spend_cpu(
+                        piped / self.cpu.lzss_bytes_per_second
+                        + piped / self.cpu.bspatch_bytes_per_second,
+                        "propagation")
+                if manifest.is_encrypted:
+                    self._spend_cpu(
+                        piped / self.cpu.decrypt_bytes_per_second,
+                        "propagation")
+        self.fed_bytes += len(data)
+        marks = self._reboot_marks
+        if marks and self.fed_bytes >= marks[0]:
+            marks.pop(0)
+            raise DeviceRebooted("device power-cycled after %d bytes fed"
+                                 % self.fed_bytes)
         return status
+
+    def add_reboot_mark(self, fed_byte: int) -> None:
+        """Power-cycle the device after the feed that takes
+        :attr:`fed_bytes` to ``fed_byte`` or past it (one mark per
+        feed; a mark already passed fires on the next feed)."""
+        self._reboot_marks.append(fed_byte)
+        self._reboot_marks.sort()
+
+    def run_budget(self, mtu: int) -> int:
+        """Bytes of ``mtu``-byte frames the next :meth:`feed` may take
+        at once with exactly the effects of feeding them one by one.
+
+        Frames that end before the agent's next FSM transition
+        (``agent.bytes_until_transition()``): the frame that reaches it
+        runs the agent's checks, so it goes alone and an error it
+        raises fails that frame only.  Runs also stop with the frame
+        that crosses the next reboot mark.  0 — one frame — while a
+        flash power-loss countdown is armed, since it counts single
+        writes.
+        """
+        if any(flash.fault_armed for flash in self.flash_devices):
+            return 0
+        budget = max(0, self.agent.bytes_until_transition() - 1)
+        if self._reboot_marks:
+            left = self._reboot_marks[0] - self.fed_bytes
+            budget = min(budget, -(-left // mtu) * mtu if left > 0 else 0)
+        return budget
 
     def reboot(self) -> BootResult:
         """Reboot into the bootloader and load an image (loading phase)."""

@@ -205,20 +205,12 @@ def calibrate(lab: ChaosLab) -> Calibration:
     device = bed.device
     flashes = device.flash_devices
 
-    fed = {"bytes": 0}
-    original_feed = device.feed
-
-    def feed(chunk):
-        fed["bytes"] += len(chunk)
-        return original_feed(chunk)
-
-    device.feed = feed
-
     def ops() -> "tuple[int, int]":
         return (sum(flash.stats.write_calls for flash in flashes),
                 sum(flash.stats.pages_erased for flash in flashes))
 
     writes0, erases0 = ops()
+    fed0 = device.fed_bytes
     outcome = lab.make_transport(bed).run_update()
     if not outcome.success:
         raise RuntimeError("calibration update failed: %s" % outcome.error)
@@ -231,7 +223,7 @@ def calibrate(lab: ChaosLab) -> Calibration:
         ops_write=writes1 - writes0,
         ops_erase=erases1 - erases0,
         transfer_bytes=outcome.bytes_over_air,
-        fed_bytes=fed["bytes"],
+        fed_bytes=device.fed_bytes - fed0,
     )
 
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import platform
 import random
-from typing import Optional
+import time
+from typing import Dict, Optional
 
 import pytest
 
@@ -157,3 +161,79 @@ def pytest_runtest_call(item):
                         "the %d MiB per-test budget"
                         % (grown_mib, RSS_BUDGET_MIB))
     return result
+
+
+# -- tier-1 report ----------------------------------------------------------------
+
+#: How many of the slowest tests the ``--tier1-report`` artifact names.
+SLOWEST_TESTS = 10
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--tier1-report", metavar="PATH", default=None,
+        help="write the run's wall seconds, peak RSS (MiB) and the %d "
+             "slowest tests as JSON to PATH" % SLOWEST_TESTS)
+
+
+class _Tier1Report:
+    """Wall time, peak RSS and per-test durations of one pytest run (a
+    plugin registered by ``--tier1-report``).
+
+    The memory guard above resets the kernel's peak-RSS mark before
+    every test, so the run's peak is the largest mark read after any
+    test phase, not the mark at exit.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.started = time.perf_counter()
+        self.peak_kib = 0
+        self.durations: Dict[str, float] = {}
+        self.outcomes: Dict[str, int] = {}
+
+    def note_peak(self) -> None:
+        try:
+            self.peak_kib = max(self.peak_kib, _status_kib("VmHWM:"))
+        except (OSError, KeyError):
+            pass
+
+    def pytest_runtest_logreport(self, report) -> None:
+        """One test phase (setup, call or teardown) finished."""
+        self.note_peak()
+        self.durations[report.nodeid] = (
+            self.durations.get(report.nodeid, 0.0) + report.duration)
+        if report.when == "call":
+            outcome = report.outcome
+        elif report.failed:
+            outcome = "error"
+        elif report.skipped:
+            outcome = "skipped"
+        else:
+            return
+        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
+
+    def pytest_sessionfinish(self, exitstatus: int) -> None:
+        self.note_peak()
+        slowest = sorted(self.durations.items(),
+                         key=lambda item: (-item[1], item[0]))
+        document = {
+            "wall_seconds": round(time.perf_counter() - self.started, 2),
+            "peak_rss_mib": round(self.peak_kib / 1024, 1),
+            "exit_status": int(exitstatus),
+            "outcomes": dict(sorted(self.outcomes.items())),
+            "slowest": [{"test": nodeid, "seconds": round(seconds, 2)}
+                        for nodeid, seconds in slowest[:SLOWEST_TESTS]],
+            "host": {"python": platform.python_version(),
+                     "machine": platform.machine(),
+                     "cpus": os.cpu_count()},
+        }
+        with open(self.path, "w") as fh:
+            json.dump(document, fh, indent=2)
+            fh.write("\n")
+
+
+def pytest_configure(config):
+    path = config.getoption("--tier1-report")
+    if path:
+        config.pluginmanager.register(_Tier1Report(path), "tier1-report")

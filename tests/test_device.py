@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import SignatureInvalid
+from repro.core import SignatureInvalid, inspect_slot
 from repro.crypto import HSMBackend, get_backend
 from repro.net import ManifestTamperer
 from repro.platform import CC2650, CONTIKI
@@ -63,6 +63,23 @@ def test_delta_updates_spend_pipeline_cpu(gen):
     # Full images bypass decompression/patching entirely.
     assert delta_out.energy_mj.get("cpu", 0) \
         > full_out.energy_mj.get("cpu", 0)
+
+
+@pytest.mark.parametrize("transport", ["push", "pull"])
+def test_pipeline_cpu_bills_payload_bytes_only(gen, transport):
+    # The frame that completes the envelope also carries payload bytes;
+    # only those reach the pipeline, so only they cost LZSS + bspatch.
+    bed = make_bed(gen, supports_differential=True)
+    update = bed.push_update if transport == "push" else bed.pull_update
+    outcome = update(reboot_on_success=False)
+    assert outcome.success
+    manifest = inspect_slot(bed.device.agent.staged_slot).manifest
+    assert manifest.is_delta
+    cpu, board = bed.device.cpu, bed.device.board
+    seconds = manifest.payload_size * (1 / cpu.lzss_bytes_per_second
+                                       + 1 / cpu.bspatch_bytes_per_second)
+    assert outcome.energy_mj["cpu"] == pytest.approx(
+        seconds * board.cpu_active_ma * board.supply_volts, rel=1e-12)
 
 
 def test_cpu_model_throughput_matters(gen):

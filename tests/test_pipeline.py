@@ -184,6 +184,20 @@ def test_full_pipeline_buffers_writes_to_sector_size():
     assert all(len(w) % 4096 == 0 for w in sink.writes[:-1])
 
 
+def test_pipeline_writes_one_buffer_per_sink_call():
+    # A sector buffer holds one sector: a feed that fills three buffers
+    # is three flash writes, not one multi-sector write.
+    firmware = bytes(range(250)) * 4
+    sink = SinkRecorder()
+    pipeline = build_pipeline(full_manifest(firmware), sink,
+                              buffer_size=256)
+    assert pipeline.feed(firmware) == 768
+    assert [len(write) for write in sink.writes] == [256, 256, 256]
+    pipeline.finish()
+    assert [len(write) for write in sink.writes] == [256, 256, 256, 232]
+    assert sink.data == firmware
+
+
 def test_delta_pipeline_end_to_end():
     old = bytes(range(251)) * 37
     new = bytearray(old)
