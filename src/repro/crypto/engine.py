@@ -9,7 +9,7 @@ provides two interchangeable engines behind one dispatch point:
 
 * ``reference`` (default) — the from-scratch SHA-256 and the plain
   Shamir-trick ECDSA verify.  Bit-for-bit the seed behaviour.
-* ``fast`` — ``hashlib`` SHA-256/HMAC, fixed-window precomputed
+* ``fast`` — ``hashlib`` SHA-256/HMAC, signed-window precomputed
   base-point tables plus a bounded per-public-key table cache for
   scalar multiplication (:class:`repro.crypto.ecc.FixedWindowTable`),
   and a bounded LRU *verification cache* keyed by
@@ -330,7 +330,7 @@ class CryptoEngine:
 def _verify_scalars(r: int, s: int, digest: bytes) -> Tuple[int, int]:
     n = P256.n
     e = int.from_bytes(digest, "big") % n
-    w = pow(s, n - 2, n)
+    w = pow(s, -1, n)
     return (e * w) % n, (r * w) % n
 
 
@@ -368,20 +368,22 @@ class FastEngine(CryptoEngine):
     """hashlib digests + precomputed-table ECDSA + verification cache.
 
     * SHA-256 / HMAC-SHA256 go through ``hashlib`` (identical output).
-    * ``k * G`` uses a lazily built fixed-window table for the base
-      point, shared process-wide.
+    * ``k * G`` uses a lazily built signed-window table for the base
+      point, shared process-wide: at most 43 mixed additions and one
+      inversion per signature.
     * Verification builds a :class:`FixedWindowTable` per public key
       once the key has been seen ``table_threshold`` times (trust
       anchors are verified against thousands of times per campaign;
       one-shot keys never pay the table build).  Tables live in a
-      bounded LRU.
+      bounded LRU.  With both tables, ``u1*G + u2*Q`` walks the two
+      tables into one accumulator and normalises once.
     * Completed verifications land in a bounded LRU keyed by
       ``(pubkey, r, s, digest)``: UpKit's bootloader re-verifies the
       exact signatures the agent just verified, so the second pass is
       a dictionary lookup.
 
-    All shared state is lock-protected — the parallel campaign
-    executor calls into one engine from many threads.
+    All shared state is lock-protected — the serve plane's signer-pool
+    threads sign and verify through one engine concurrently.
     """
 
     name = "fast"

@@ -277,13 +277,14 @@ class _TokenRecord:
     state: str = TOKEN_ISSUED
     envelope: bytes = b""
     payload: bytes = b""
-    payload_sha256: str = ""
     #: Manifest document + its canonical JSON, cached at PREPARED so
     #: re-fetches and both protocol faces serve pre-serialized bytes.
     manifest: Optional[Dict[str, object]] = None
     manifest_bytes: bytes = b""
     #: Set by the thread that owns the PREPARING transition; concurrent
     #: resolutions of the same token wait on it instead of re-signing.
+    #: Only a PREPARING token holds one: waiters keep their own
+    #: reference, so the record drops it once preparation ends.
     ready: Optional[threading.Event] = None
 
 
@@ -557,7 +558,7 @@ class FleetService:
                     waiter = record.ready
                 else:  # TOKEN_ISSUED: this thread becomes the preparer.
                     record.state = TOKEN_PREPARING
-                    record.ready = threading.Event()
+                    ready = record.ready = threading.Event()
                     waiter = None
                     server = self.channels[record.channel]
             if waiter is None:
@@ -571,7 +572,6 @@ class FleetService:
             # result; a failed preparer reset the token to ISSUED (we
             # retry as the preparer); a concurrent close raises 403.
             continue
-        ready = record.ready
         try:
             image = server.prepare_update(record.token)
             envelope = image.envelope.pack()
@@ -598,10 +598,10 @@ class FleetService:
             if record.state == TOKEN_PREPARING:
                 record.envelope = envelope
                 record.payload = payload
-                record.payload_sha256 = digest
                 record.manifest = manifest
                 record.manifest_bytes = encoded
                 record.state = TOKEN_PREPARED
+                record.ready = None
             # A concurrent close (report racing the resolve) wins: the
             # token stays CLOSED — never resurrected — but this caller
             # still gets the manifest its accepted request produced.
@@ -677,6 +677,7 @@ class FleetService:
             record.payload = b""
             record.manifest = None
             record.manifest_bytes = b""
+            record.ready = None
             self._open.pop((record.device_id, record.version), None)
             entry = self._devices.get(record.device_id)
             if status == "updated" and entry is not None:

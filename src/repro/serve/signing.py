@@ -11,7 +11,7 @@ service lock*.  Every endpoint convoyed behind scalar multiplication.
   owns all ECDSA work.  The HTTP and CoAP faces dispatch manifest
   resolution through :meth:`dispatch` the way campaign routes already
   use ``run_in_executor``, so the loop thread never touches the curve.
-* All workers sign through **one shared fast engine** — one fixed-window
+* All workers sign through **one shared fast engine** — one signed-window
   generator table, built once and reused by every thread — and one
   shared single-flight :class:`~repro.crypto.engine.SignatureCache`, so
   a wave of devices pulling the same release pays for one signature.

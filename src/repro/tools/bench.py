@@ -77,6 +77,7 @@ from .report import write_report
 __all__ = [
     "bench_sha256",
     "bench_verify",
+    "bench_sign",
     "bench_delta",
     "bench_delta_fastpath",
     "bench_campaign",
@@ -159,6 +160,42 @@ def bench_verify(reference_iterations: int = 20,
     results["speedup"] = round(
         results["fast_verifies_per_s"] / results["reference_verifies_per_s"],
         1)
+    return results
+
+
+def bench_sign(reference_iterations: int = 20,
+               fast_iterations: int = 300) -> Dict[str, object]:
+    """ECDSA (RFC 6979) signs/s per engine, over *distinct* digests.
+
+    Every served manifest binds a fresh device nonce, so its signature
+    is never seen twice; distinct digests time exactly that.  Before
+    timing, the digests the reference loop signs are signed under both
+    engines and the signatures compared byte for byte (this also builds
+    the fast engine's base-point table outside the timed loop).
+    """
+    key = generate_keypair(b"bench-sign")
+    count = max(reference_iterations, fast_iterations)
+    digests = [get_engine().sha256(b"bench sign %06d" % i)
+               for i in range(count)]
+    signed = {}
+    for name in ("reference", "fast"):
+        with use_engine(name) as engine:
+            signed[name] = [key.sign_digest(digest, engine).encode()
+                            for digest in digests[:reference_iterations]]
+    if signed["reference"] != signed["fast"]:
+        raise AssertionError("engines produced different signatures")
+
+    results: Dict[str, object] = {"signatures_identical": True}
+    for name, iterations in (("reference", reference_iterations),
+                             ("fast", fast_iterations)):
+        with use_engine(name) as engine:
+            start = time.perf_counter()
+            for digest in digests[:iterations]:
+                key.sign_digest(digest, engine)
+            elapsed = time.perf_counter() - start
+        results["%s_signs_per_s" % name] = round(iterations / elapsed, 1)
+    results["speedup"] = round(
+        results["fast_signs_per_s"] / results["reference_signs_per_s"], 1)
     return results
 
 
@@ -530,6 +567,7 @@ def run_all(device_count: int = 50, image_size: int = 24 * 1024,
         },
         "sha256": bench_sha256(),
         "ecdsa_verify": bench_verify(),
+        "ecdsa_sign": bench_sign(),
         "delta_generation": bench_delta(),
         # Engine/server telemetry lives top-level so the schema
         # validator can insist on it without digging into the campaign.
@@ -800,6 +838,7 @@ def _gate_section(problems: List[str], current: Dict[str, object],
 def format_summary(results: Dict[str, object]) -> str:
     sha = results["sha256"]
     ver = results["ecdsa_verify"]
+    sign = results["ecdsa_sign"]
     camp = results["campaign"]
     lines = [
         "SHA-256      : %8.1f -> %8.1f MB/s   (%sx)"
@@ -807,6 +846,9 @@ def format_summary(results: Dict[str, object]) -> str:
         "ECDSA verify : %8.1f -> %8.1f op/s   (%sx)"
         % (ver["reference_verifies_per_s"], ver["fast_verifies_per_s"],
            ver["speedup"]),
+        "ECDSA sign   : %8.1f -> %8.1f op/s   (%sx)"
+        % (sign["reference_signs_per_s"], sign["fast_signs_per_s"],
+           sign["speedup"]),
         "delta (%3dk) : %.3f s (bsdiff %.3f + lzss %.3f)"
         % (results["delta_generation"]["firmware_bytes"] // 1024,
            results["delta_generation"]["total_seconds"],

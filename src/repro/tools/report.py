@@ -36,7 +36,7 @@ __all__ = [
 #: Current schema version per report kind.  Bump a kind's version when
 #: its document shape changes; teach :func:`validate_data` about the
 #: old shape so existing artifacts keep loading.
-SCHEMA_VERSIONS: Dict[str, int] = {"bench": 7, "chaos": 4, "trace": 2,
+SCHEMA_VERSIONS: Dict[str, int] = {"bench": 8, "chaos": 4, "trace": 2,
                                    "fleetview": 1, "delta": 1}
 
 #: Keys every bench-v5+ ``server`` section (the swarm bench artifact,
@@ -155,6 +155,13 @@ def validate_data(kind: str, version: int,
                         errors.append("bench campaign_io reports "
                                       "diverged between executor "
                                       "configurations")
+            if version >= 8:
+                errors += _require(data, ["ecdsa_sign"], kind)
+                sign = data.get("ecdsa_sign")
+                if isinstance(sign, dict) and \
+                        sign.get("signatures_identical") is not True:
+                    errors.append("bench ecdsa_sign signatures differ "
+                                  "between engines")
             if version >= 4:
                 errors += _require(data, ["fleet_scale"], kind)
                 fleet_scale = data.get("fleet_scale")

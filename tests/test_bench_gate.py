@@ -387,3 +387,22 @@ def test_cli_bench_delta_out_writes_an_artifact(tmp_path, fake_bench_run,
     assert rc == 0
     assert delta_path.exists()
     assert "(stubbed delta)" in capsys.readouterr().out
+
+
+# -- the ecdsa_sign section ---------------------------------------------------
+
+
+def test_bench_sign_checks_engine_parity_before_timing(monkeypatch):
+    results = bench.bench_sign(reference_iterations=2, fast_iterations=6)
+    assert results["signatures_identical"] is True
+    assert results["reference_signs_per_s"] > 0
+    assert results["fast_signs_per_s"] > 0
+
+    from repro.crypto import P256
+    from repro.crypto.engine import available_engines
+
+    fast = available_engines()["fast"]
+    monkeypatch.setattr(fast, "multiply_base",
+                        lambda k: P256.multiply_base(k + 1))
+    with pytest.raises(AssertionError, match="different signatures"):
+        bench.bench_sign(reference_iterations=2, fast_iterations=6)

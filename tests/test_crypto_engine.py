@@ -153,6 +153,113 @@ def test_window_table_rejects_infinity():
         FixedWindowTable(INFINITY)
 
 
+# -- signed-window kernel edge cases ----------------------------------------
+
+WINDOW_BITS = FixedWindowTable.WINDOW_BITS
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """One generator table, a second one, and a key table with its point."""
+    point = generate_keypair(b"window-edges").public_key().point
+    return (FixedWindowTable(P256.generator),
+            FixedWindowTable(P256.generator),
+            FixedWindowTable(point))
+
+
+def _signed_digits(k):
+    """The recoding the table walk performs, spelled out: digits in
+    [-31, 32], the carry of a negative digit into the next window."""
+    digits = []
+    while k:
+        digit = k & ((1 << WINDOW_BITS) - 1)
+        k >>= WINDOW_BITS
+        if digit > 1 << (WINDOW_BITS - 1):
+            digit -= 1 << WINDOW_BITS
+            k += 1
+        digits.append(digit)
+    return digits
+
+
+def _from_digits(digits):
+    return sum(d << (WINDOW_BITS * i) for i, d in enumerate(digits))
+
+
+EDGE_SCALARS = (0, 1, 31, 32, 33, 63, 64, 2 ** 255,
+                P256.n - 1, P256.n, P256.n + 1)
+
+# Every full window is 32 (the largest positive digit) or 63 (the digit
+# -1 with a carry), so carries chain through the windows and reach the
+# top one, whose 4 bits hold what is left of a 256-bit scalar.
+_LOW = 256 // WINDOW_BITS
+CARRY_SCALARS = (
+    _from_digits([63] * _LOW),
+    _from_digits([63] * _LOW + [14]),
+    _from_digits([63] + [32] * (_LOW - 1)),
+    _from_digits([63] + [32] * (_LOW - 1) + [14]),
+    _from_digits([32] * _LOW + [15]),
+    _from_digits([32, 63] * (_LOW // 2) + [7]),
+    _from_digits([63, 32] * (_LOW // 2)),
+)
+
+
+@pytest.mark.parametrize("k", EDGE_SCALARS)
+def test_window_table_edge_scalars(tables, k):
+    generator_table, _, key_table = tables
+    assert generator_table.multiply(k) == P256.multiply(k, P256.generator)
+    assert key_table.multiply(k) == P256.multiply(k, key_table.point)
+    assert available_engines()["fast"].multiply_base(k) \
+        == P256.multiply_base(k)
+
+
+@pytest.mark.parametrize("k", CARRY_SCALARS)
+def test_window_table_carries_into_the_top_window(tables, k):
+    assert k < P256.n
+    digits = _signed_digits(k)
+    assert len(digits) == FixedWindowTable._WINDOWS and digits[-1] > 0
+    assert _from_digits(digits) == k
+    generator_table, _, key_table = tables
+    assert generator_table.multiply(k) == P256.multiply(k, P256.generator)
+    assert key_table.multiply(k) == P256.multiply(k, key_table.point)
+    u2 = CARRY_SCALARS[0] ^ k
+    assert (generator_table.combined_multiply(k, key_table, u2)
+            == P256.double_multiply(k, u2, key_table.point))
+
+
+@pytest.mark.parametrize("u2", (1, 32, 31 << 12, 32 << 246, 33, 63, 63 << 18))
+def test_combined_multiply_accumulator_meets_a_table_entry(tables, u2):
+    """u1*G, then u2*G through the same accumulator, with u1*G equal to
+    the first entry the u2 walk adds (the doubling branch) or to its
+    negation (the identity branch).  For u2 = 33, 63 and 63 << 18 that
+    first entry is a negated one."""
+    generator_table, second_table, _ = tables
+    window, digit = next((i, d) for i, d in enumerate(_signed_digits(u2))
+                         if d)
+    entry = digit << (WINDOW_BITS * window)
+    for u1 in (entry % P256.n, -entry % P256.n):
+        assert (generator_table.combined_multiply(u1, second_table, u2)
+                == P256.double_multiply(u1, u2, P256.generator))
+
+
+def test_verify_whose_sum_is_the_identity_is_false():
+    """u1*G = -u2*Q: the verify sum is the point at infinity, and both
+    engines reject the signature without raising."""
+    private = generate_keypair(b"identity-sum")
+    point = private.public_key().point
+    r, s = 0x1234567, 0x89ABCDEF
+    e = (-r * private.scalar) % P256.n
+    digest = e.to_bytes(32, "big")
+    engine = FastEngine(table_threshold=1)
+    w = pow(s, -1, P256.n)
+    u1, u2 = (e * w) % P256.n, (r * w) % P256.n
+    assert engine._generator_table().combined_multiply(
+        u1, engine._table_for(point), u2).is_infinity
+    assert P256.double_multiply(u1, u2, point).is_infinity
+    assert engine.ecdsa_verify(point, r, s, digest) is False
+    assert available_engines()["reference"].ecdsa_verify(
+        point, r, s, digest) is False
+
+
 # -- ECDSA parity -----------------------------------------------------------
 
 

@@ -51,6 +51,24 @@ def test_api_generator_runs():
     assert "UpdateAgent" in content
 
 
+def test_api_reference_does_not_depend_on_the_hash_seed(tmp_path):
+    """Set defaults (e.g. ``FleetTelemetry.quarantine_kinds``) render
+    sorted, so regenerating API.md never reorders them."""
+    outputs = []
+    for seed in ("1", "8"):   # opposite set orders under Python 3.11
+        out = tmp_path / ("API-%s.md" % seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        result = subprocess.run(
+            [sys.executable, os.path.join(REPO_ROOT, "docs",
+                                          "generate_api.py"), str(out)],
+            capture_output=True, text=True, cwd=REPO_ROOT, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    assert "frozenset({'crash-loop', 'retry-storm'})" in outputs[0]
+
+
 @pytest.mark.parametrize("name", ["README.md", "DESIGN.md",
                                   "EXPERIMENTS.md"])
 def test_top_level_docs_exist(name):

@@ -183,6 +183,29 @@ def test_validate_bench_v7_drops_the_pool_sections():
     assert report.validate_data("bench", 7, data) == []
 
 
+def test_validate_bench_v8_requires_sign_parity():
+    """v8 adds the ``ecdsa_sign`` section, valid only when both engines
+    produced the same signature bytes."""
+    data = {
+        "sha256": {}, "ecdsa_verify": {}, "delta_generation": {},
+        "campaign": {"reports_identical": True},
+        "crypto_stats": {}, "server_stats": {}, "metrics": {},
+        "fleet_scale": {"devices": 10_000, "devices_per_s": 5000.0,
+                        "peak_rss_kb": 250_000,
+                        "columnar_bytes_per_row": 86,
+                        "hydrated_bytes_per_device": 42_088,
+                        "sampled_parity": True},
+    }
+    assert report.validate_data("bench", 7, data) == []
+    assert "bench report missing key 'ecdsa_sign'" \
+        in report.validate_data("bench", 8, data)
+    data["ecdsa_sign"] = {"signatures_identical": False}
+    assert any("signatures differ" in error
+               for error in report.validate_data("bench", 8, data))
+    data["ecdsa_sign"]["signatures_identical"] = True
+    assert report.validate_data("bench", 8, data) == []
+
+
 @pytest.mark.trace
 def test_trace_pull_transport_nests_too(tmp_path):
     """Heavier opt-in run: the pull transport on a larger image."""
